@@ -13,7 +13,9 @@ Library layout:
 
 from .finite_model import (
     BudgetExceededError,
+    EquivalenceCheckError,
     FiniteMap,
+    FiniteSeriesCheckError,
     class_of,
     combine,
     config_space_map,

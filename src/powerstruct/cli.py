@@ -4,7 +4,8 @@ Subcommands: power, exp, log, zeta, hilb, oracle.  Output is deterministic
 text (one line per coefficient) or JSON with the schema
 {"ring": str, "order": int, "coefficients": [str]}; coefficients are printed
 in graded-lexicographic normal form.  Exit codes: 0 success, 1 usage or parse
-error, 2 computation error (non-unit series, enumeration budget exceeded).
+error, 2 computation error (non-unit series, enumeration budget exceeded, a
+failed internal cross-check).
 """
 
 from __future__ import annotations
@@ -17,7 +18,9 @@ from typing import List, Optional, Sequence
 from .finite_model import (
     BudgetExceededError,
     DEFAULT_BUDGET,
+    EquivalenceCheckError,
     FiniteMap,
+    FiniteSeriesCheckError,
     geometric_power_coefficient,
 )
 from .kernels import OrbitCheckError
@@ -233,6 +236,8 @@ def main(argv: Optional[Sequence[str]] = None, out=None, err=None) -> int:
         UnsupportedLambdaError,
         BudgetExceededError,
         OrbitCheckError,
+        EquivalenceCheckError,
+        FiniteSeriesCheckError,
     ) as e:
         print(f"error: {e}", file=err)
         return 2
@@ -243,3 +248,7 @@ def main(argv: Optional[Sequence[str]] = None, out=None, err=None) -> int:
 
 def console_main() -> None:
     sys.exit(main())
+
+
+if __name__ == "__main__":
+    console_main()

@@ -27,6 +27,14 @@ class BudgetExceededError(RuntimeError):
     """The exhaustive enumeration would exceed the configured budget."""
 
 
+class EquivalenceCheckError(RuntimeError):
+    """A constructed equivalence of finite maps failed its verification."""
+
+
+class FiniteSeriesCheckError(RuntimeError):
+    """A finite-model series disagrees with the algebraic power structure."""
+
+
 class FiniteMap:
     """A map between explicit finite sets {0..n-1} -> {0..q-1}."""
 
@@ -136,9 +144,12 @@ def find_equivalence(
         h2[yf] = yg
         for xf, xg in zip(ff[yf], gf[yg]):
             h1[xf] = xg
-    assert sorted(h1) == list(range(f.source_size))
-    assert sorted(h2) == list(range(f.target_size))
-    assert all(h2[f(x)] == g(h1[x]) for x in range(f.source_size))
+    if sorted(h1) != list(range(f.source_size)):
+        raise EquivalenceCheckError(f"source map {h1} is not a bijection")
+    if sorted(h2) != list(range(f.target_size)):
+        raise EquivalenceCheckError(f"target map {h2} is not a bijection")
+    if any(h2[f(x)] != g(h1[x]) for x in range(f.source_size)):
+        raise EquivalenceCheckError(f"bijections {h1}, {h2} do not intertwine {f} and {g}")
     return tuple(h1), tuple(h2)
 
 
@@ -237,7 +248,10 @@ def geometric_power_coefficient(
                 f"(budget {budget})"
             )
         orbits = count(m_size, exponent.values, blocks)
-        assert orbits >= 0
+        if orbits < 0:
+            raise kernels.OrbitCheckError(
+                f"profile {dict(sorted(profile.items()))} has {orbits} orbits"
+            )
         total += orbits
     particle = particle_configuration_count(
         m_size, [x.source_size for x in coeffs[:k]], k
@@ -252,7 +266,7 @@ def geometric_power_coefficient(
 def finite_series(f: FiniteMap, which: str, order: int) -> TruncatedSeries:
     """Generating series of S^k f (zeta) or B_k f (binomial) classes, over Z.
 
-    Also asserts the defining identity of the geometric power structure:
+    Also checks the defining identity of the geometric power structure:
     the zeta series equals (1-t)^{-class}, the binomial series (1+t)^{class}.
     """
     if which not in ("zeta", "binomial"):
@@ -267,5 +281,6 @@ def finite_series(f: FiniteMap, which: str, order: int) -> TruncatedSeries:
         else TruncatedSeries.one_plus_t(INTEGERS, order)
     )
     expected = power(base, class_of(f), lam)
-    assert result == expected, f"{which} series disagrees with the power structure"
+    if result != expected:
+        raise FiniteSeriesCheckError(f"{which} series disagrees with the power structure")
     return result

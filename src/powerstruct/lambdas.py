@@ -114,7 +114,7 @@ def decompose_product(A: TruncatedSeries, lam: LambdaStructure) -> List:
         b_k = residual.coefficients[k]
         bs.append(b_k)
         if not ring.is_zero(b_k):
-            factor = lambda_series(lam, b_k, A.order).rescale(k)
+            factor = lambda_series(lam, b_k, A.order // k).rescale(k, order=A.order)
             residual = residual * factor.invert()
     return bs
 
@@ -131,7 +131,7 @@ def exp_map(B: Sequence, lam: LambdaStructure, order: int | None = None) -> Trun
         b = ring.coerce(b)
         if ring.is_zero(b):
             continue
-        result = result * lambda_series(lam, b, order).rescale(k)
+        result = result * lambda_series(lam, b, order // k).rescale(k, order=order)
     return result
 
 

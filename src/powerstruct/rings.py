@@ -193,6 +193,9 @@ class SparsePolynomial:
 
     # -- queries -------------------------------------------------------
 
+    def __bool__(self) -> bool:
+        return bool(self.terms)
+
     def is_zero(self) -> bool:
         return not self.terms
 

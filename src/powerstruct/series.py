@@ -4,12 +4,14 @@ A TruncatedSeries of order N stores the coefficients of t^0..t^N exactly;
 binary operations between series of different orders truncate to the smaller
 order, so the finitely-determined property can be exercised directly.
 Storage is dense: orders stay small (<= ~64) at the scales this engine
-targets, and plain convolution beats sparse bookkeeping there.
+targets.  Products and inverses visit only the nonzero coefficients, because
+the factors of a Log/Exp decomposition are series in t^k, nonzero only at
+multiples of k.
 """
 
 from __future__ import annotations
 
-from typing import List, Sequence
+from typing import List, Sequence, Tuple
 
 from .rings import Ring
 
@@ -22,6 +24,11 @@ class NonUnitError(ValueError):
     """Inversion or decomposition of a series whose constant term is not 1."""
 
 
+def _nonzero_terms(coefficients: Sequence, order: int) -> List[Tuple[int, object]]:
+    """(index, coefficient) pairs of the nonzero coefficients up to `order`."""
+    return [(j, c) for j, c in enumerate(coefficients[: order + 1]) if c]
+
+
 class TruncatedSeries:
     __slots__ = ("ring", "coefficients")
 
@@ -29,8 +36,11 @@ class TruncatedSeries:
         if not coefficients:
             raise ValueError("a truncated series needs at least the t^0 coefficient")
         object.__setattr__(self, "ring", ring)
+        # tuple() of a list allocates the tuple at its final size; from a
+        # generator it grows one in place, which strands short tuples on
+        # the interpreter's per-size free lists and raises peak memory
         object.__setattr__(
-            self, "coefficients", tuple(ring.coerce(c) for c in coefficients)
+            self, "coefficients", tuple([ring.coerce(c) for c in coefficients])
         )
 
     def __setattr__(self, name, value):
@@ -102,17 +112,19 @@ class TruncatedSeries:
 
     def __mul__(self, other: "TruncatedSeries") -> "TruncatedSeries":
         n = self._common(other)
-        ring = self.ring
-        out: List = []
-        for j in range(n + 1):
-            acc = ring.zero
-            for i in range(j + 1):
-                ci, cj = self.coefficients[i], other.coefficients[j - i]
-                if ring.is_zero(ci) or ring.is_zero(cj):
-                    continue
-                acc = ring.add(acc, ring.mul(ci, cj))
-            out.append(acc)
-        return TruncatedSeries(ring, out)
+        left = _nonzero_terms(self.coefficients, n)
+        right = _nonzero_terms(other.coefficients, n)
+        out: List = [None] * (n + 1)
+        for i, ci in left:
+            for j, cj in right:
+                k = i + j
+                if k > n:
+                    break
+                p = ci * cj
+                acc = out[k]
+                out[k] = p if acc is None else acc + p
+        zero = self.ring.zero
+        return TruncatedSeries(self.ring, [zero if c is None else c for c in out])
 
     def invert(self) -> "TruncatedSeries":
         """Multiplicative inverse of a series with constant term 1."""
@@ -121,25 +133,38 @@ class TruncatedSeries:
                 f"cannot invert a series with constant term {self.ring.format_element(self.coefficients[0])}"
             )
         ring = self.ring
+        zero = ring.zero
+        terms = _nonzero_terms(self.coefficients, self.order)[1:]
         inv: List = [ring.one]
         for j in range(1, self.order + 1):
-            acc = ring.zero
-            for i in range(1, j + 1):
-                ci = self.coefficients[i]
-                if ring.is_zero(ci):
+            acc = None
+            for i, ci in terms:
+                if i > j:
+                    break
+                cj = inv[j - i]
+                if not cj:
                     continue
-                acc = ring.add(acc, ring.mul(ci, inv[j - i]))
-            inv.append(ring.neg(acc))
+                p = ci * cj
+                acc = p if acc is None else acc + p
+            inv.append(zero if acc is None else -acc)
         return TruncatedSeries(ring, inv)
 
-    def rescale(self, k: int) -> "TruncatedSeries":
-        """Substitute t -> t^k, truncated at the original order."""
+    def rescale(self, k: int, order: int | None = None) -> "TruncatedSeries":
+        """Substitute t -> t^k, truncated at `order` (default: this series' order).
+
+        A target order above k * self.order pads with zeros, so a factor
+        lambda_b(t^k) of order N needs lambda_b built to order N // k only.
+        """
         if k < 1:
             raise ValueError(f"rescale factor must be >= 1, got {k}")
+        if order is None:
+            order = self.order
+        if order < 0:
+            raise ValueError(f"order must be nonnegative, got {order}")
         ring = self.ring
-        out = [ring.zero] * (self.order + 1)
+        out = [ring.zero] * (order + 1)
         for j, c in enumerate(self.coefficients):
-            if j * k > self.order:
+            if j * k > order:
                 break
             out[j * k] = c
         return TruncatedSeries(ring, out)

@@ -1,6 +1,14 @@
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+import pytest
+
+import powerstruct
+from powerstruct import kernels
 from powerstruct.cli import main
 
 
@@ -165,3 +173,31 @@ def test_computation_error_exit_code():
          "--order", "6", "--budget", "100"]
     )
     assert rc == 2
+
+
+def test_failed_orbit_check_exit_code(monkeypatch):
+    monkeypatch.setattr(kernels, "count_profile_orbits", lambda *args: -1)
+    rc, out, err = run(
+        ["oracle", "--m-size", "2", "--target-size", "1", "--coeff-sizes", "1",
+         "--order", "1"]
+    )
+    assert rc == 2
+    assert err == "error: profile {1: 1} has -1 orbits\n"
+
+
+@pytest.mark.parametrize("module", ["powerstruct", "powerstruct.cli"])
+def test_python_m_runs_the_cli(module):
+    src = str(Path(powerstruct.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+    def python_m(*argv):
+        return subprocess.run(
+            [sys.executable, "-m", module, *argv],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+
+    proc = python_m("power", "--ring", "Z", "--lambda", "kapranov", "--order", "3",
+                    "--series", "1 - t", "--exponent", "2")
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "t^0: 1\nt^1: -2\nt^2: 1\nt^3: 0\n", "")
+    proc = python_m("bogus")
+    assert proc.returncode == 1 and proc.stdout == ""

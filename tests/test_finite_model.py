@@ -4,9 +4,12 @@ import random
 
 import pytest
 
+from powerstruct import finite_model
 from powerstruct.finite_model import (
     BudgetExceededError,
+    EquivalenceCheckError,
     FiniteMap,
+    FiniteSeriesCheckError,
     class_of,
     combine,
     config_space_map,
@@ -16,7 +19,7 @@ from powerstruct.finite_model import (
     particle_configuration_count,
     symmetric_power_map,
 )
-from powerstruct.kernels import available_backends
+from powerstruct.kernels import OrbitCheckError, available_backends
 from powerstruct.lambdas import integer_power_formula
 from powerstruct.rings import INTEGERS
 from powerstruct.series import TruncatedSeries
@@ -178,3 +181,29 @@ def test_finite_series_multiplicative_under_disjoint_union():
                 f2 = FiniteMap(n2, 2, [x % 2 for x in range(n2)]) if n2 else FiniteMap.identity(0)
                 lhs = finite_series(combine(f1, f2, "disjoint_union"), which, 5)
                 assert lhs == finite_series(f1, which, 5) * finite_series(f2, which, 5)
+
+
+class _DriftingMap(FiniteMap):
+    """Answers the first source_size queries truthfully, then shifts them."""
+
+    __slots__ = ("queries",)
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        object.__setattr__(self, "queries", itertools.count())
+
+    def __call__(self, x: int) -> int:
+        shift = next(self.queries) >= self.source_size
+        return (self.values[x] + shift) % self.target_size
+
+
+def test_failed_cross_checks_raise_named_errors(monkeypatch):
+    with pytest.raises(EquivalenceCheckError):
+        find_equivalence(_DriftingMap(2, 2, [0, 1]), FiniteMap.identity(2))
+    with pytest.raises(OrbitCheckError):
+        geometric_power_coefficient(
+            FiniteMap.constant(2), [FiniteMap.constant(1)], 1, backend=lambda *args: -1
+        )
+    monkeypatch.setattr(finite_model, "power", lambda base, m, lam: base)
+    with pytest.raises(FiniteSeriesCheckError):
+        finite_series(FiniteMap.constant(2), "zeta", 3)
