@@ -8,7 +8,7 @@ Library layout:
   finite_model  finite maps, S^k/B_k, the geometric enumeration oracle
   motivic       Hodge-level zeta and Hilbert-scheme generating series
   parsing, cli  expression front end and command-line interface
-  kernels       orbit-enumeration backend (compiled when available)
+  kernels       orderly orbit enumeration: one representative per orbit
 """
 
 from .finite_model import (

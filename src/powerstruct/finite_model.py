@@ -12,7 +12,6 @@ of the blockwise symmetric-group action on off-diagonal tuples).
 from __future__ import annotations
 
 import itertools
-import math
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import kernels
@@ -169,7 +168,8 @@ def symmetric_power_map(f: FiniteMap, k: int) -> FiniteMap:
         raise ValueError("k must be nonnegative")
     src = list(itertools.combinations_with_replacement(range(f.source_size), k))
     tgt_index = _multiset_index(f.target_size, k)
-    values = [tgt_index[tuple(sorted(f(x) for x in ms))] for ms in src]
+    fv = f.values
+    values = [tgt_index[tuple(sorted([fv[x] for x in ms]))] for ms in src]
     return FiniteMap(len(src), len(tgt_index), values)
 
 
@@ -179,7 +179,8 @@ def config_space_map(f: FiniteMap, k: int) -> FiniteMap:
         raise ValueError("k must be nonnegative")
     src = list(itertools.combinations(range(f.source_size), k))
     tgt_index = _multiset_index(f.target_size, k)
-    values = [tgt_index[tuple(sorted(f(x) for x in sub))] for sub in src]
+    fv = f.values
+    values = [tgt_index[tuple(sorted([fv[x] for x in sub]))] for sub in src]
     return FiniteMap(len(src), len(tgt_index), values)
 
 
@@ -189,27 +190,21 @@ def config_space_map(f: FiniteMap, k: int) -> FiniteMap:
 def particle_configuration_count(m_size: int, coeff_sizes: Sequence[int], k: int) -> int:
     """Count maps from the exponent source into the charged-state space.
 
-    Each point carries charge 0 or a pair (charge i, internal state in X_i);
-    configurations of total charge k are enumerated one choice at a time.
+    Each point carries charge 0 or a pair (charge i, internal state in X_i).
+    The points are added one at a time, keeping for every total charge r <= k
+    the number of configurations of the points so far; no orbit is
+    enumerated, so this is a route independent of the orbit kernel.
     """
     if k < 0:
         raise ValueError("k must be nonnegative")
-
-    def rec(point: int, remaining: int) -> int:
-        if remaining == 0:
-            # every remaining point takes charge 0
-            return 1
-        if point == m_size:
-            return 0
-        total = rec(point + 1, remaining)  # charge 0 here
-        for i, size in enumerate(coeff_sizes, start=1):
-            if i > remaining:
-                break
-            for _state in range(size):
-                total += rec(point + 1, remaining - i)
-        return total
-
-    return rec(0, k)
+    charges = list(enumerate(coeff_sizes[:k], start=1))
+    ways = [1] + [0] * k  # ways[r]: configurations of total charge r
+    for _point in range(m_size):
+        ways = [
+            ways[r] + sum(size * ways[r - i] for i, size in charges if i <= r)
+            for r in range(k + 1)
+        ]
+    return ways[k]
 
 
 def geometric_power_coefficient(
@@ -222,9 +217,13 @@ def geometric_power_coefficient(
     """Coefficient of t^k of (1 + [X_1]t + [X_2]t^2 + ...)^[M -> N], by enumeration.
 
     Sums orbit counts over all charge profiles {k_i} with sum i*k_i = k.  The
-    kernel verifies the free action and the well-definedness of the induced
-    orbit map; this function additionally cross-checks the total against the
-    particle-configuration count.
+    kernel, kernels.count_profile_orbits, visits one representative per orbit;
+    it checks the well-definedness of the induced orbit map on every
+    representative and the free action once per profile (orbit-stabiliser
+    identity).  This function refuses a profile whose m^s * prod |X_i|^{k_i}
+    raw tuples exceed the budget, rejects a negative orbit count and
+    cross-checks the total against the particle-configuration count.  Every
+    failed check raises kernels.OrbitCheckError.
     """
     if k < 1:
         raise ValueError("k must be positive")

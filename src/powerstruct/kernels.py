@@ -1,33 +1,75 @@
-"""Backend selection for the orbit-enumeration kernel.
+"""Orderly orbit enumeration for one charge profile of the geometric power.
 
-The compiled extension is preferred when it was built; otherwise the
-pure-Python twin is used.  Both expose count_profile_orbits with identical
-semantics, and both can be obtained explicitly (for benchmarks and
-cross-checking) via available_backends().
+The group prod_i S_{k_i} acts on the off-diagonal tuples of exponent-source
+points times the coefficient state spaces by permuting within blocks.  Since
+the points of a tuple are distinct, every orbit holds exactly one element
+whose points increase within each block.  count_profile_orbits visits those
+representatives and no other element: block by block it picks a k_i-subset
+of the points not used yet and one state per point.
+
+Two runtime checks guard the count:
+
+- well-definedness: for every block of every representative the induced
+  target orbit is computed from the representative and again from another
+  element of the same orbit (the block's pairs reversed); the two must agree.
+- freeness: once per profile, the count must satisfy the orbit-stabiliser
+  identity orbits * prod k_i! == perm(m, s) * prod |X_i|^{k_i}.
+
+Either failure raises OrbitCheckError.
 """
 
 from __future__ import annotations
 
-from . import _orbit_kernel_py
+import math
+from itertools import combinations, product
+from typing import Sequence, Tuple
 
-try:
-    from . import _orbit_kernel as _compiled  # type: ignore[attr-defined]
-except ImportError:
-    _compiled = None
-
-OrbitCheckError = _orbit_kernel_py.OrbitCheckError
-
-if _compiled is not None:
-    BACKEND = "compiled"
-    count_profile_orbits = _compiled.count_profile_orbits
-else:
-    BACKEND = "python"
-    count_profile_orbits = _orbit_kernel_py.count_profile_orbits
+# A block describes the k_i-fold factor attached to charge i:
+#   (k, x_size, g_values, y_size)
+# where g_values maps states 0..x_size-1 into 0..y_size-1.
+Block = Tuple[int, int, Sequence[int], int]
 
 
-def available_backends() -> dict:
-    """Name -> count_profile_orbits callable, for every importable backend."""
-    backends = {"python": _orbit_kernel_py.count_profile_orbits}
-    if _compiled is not None:
-        backends["compiled"] = _compiled.count_profile_orbits
-    return backends
+class OrbitCheckError(RuntimeError):
+    """An internal structural check (free action / well-definedness) failed."""
+
+
+def count_profile_orbits(m_size: int, f_values: Sequence[int], blocks: Sequence[Block]) -> int:
+    s = sum(b[0] for b in blocks)
+    if s == 0:
+        raise ValueError("a charge profile must have at least one particle")
+    if s > m_size:
+        return 0
+    if any(k > 0 and x_size == 0 for k, x_size, _, _ in blocks):
+        return 0
+    last = len(blocks) - 1
+
+    def count_from(index: int, unused: Sequence[int]) -> int:
+        """Representatives that fill blocks[index:] from the unused points."""
+        k, x_size, g_values, _ = blocks[index]
+        total = 0
+        for points in combinations(unused, k):
+            rest = [p for p in unused if p not in points]
+            backwards = points[::-1]
+            for states in product(range(x_size), repeat=k):
+                target = sorted([(f_values[p], g_values[x]) for p, x in zip(points, states)])
+                other = sorted(
+                    [(f_values[p], g_values[x]) for p, x in zip(backwards, states[::-1])]
+                )
+                if target != other:
+                    raise OrbitCheckError(
+                        "induced orbit map is not well defined: one source orbit "
+                        "hits two target orbits"
+                    )
+                total += 1 if index == last else count_from(index + 1, rest)
+        return total
+
+    orbits = count_from(0, range(m_size))
+    stabiliser = math.prod(math.factorial(k) for k, _, _, _ in blocks)
+    tuples = math.perm(m_size, s) * math.prod(x_size**k for k, x_size, _, _ in blocks)
+    if orbits * stabiliser != tuples:
+        raise OrbitCheckError(
+            f"non-free action: {orbits} orbits of size {stabiliser} "
+            f"do not cover {tuples} tuples"
+        )
+    return orbits

@@ -1,7 +1,9 @@
-"""Seeded random generators shared by the test modules."""
+"""Seeded random generators and input grids shared by the test modules."""
 
+import itertools
 import random
 
+from powerstruct.finite_model import FiniteMap
 from powerstruct.rings import Ring, SparsePolynomial
 from powerstruct.series import TruncatedSeries
 
@@ -43,3 +45,15 @@ def sparse_unit_series(rng: random.Random, ring: Ring, order: int, nonzero_p=0.4
     return TruncatedSeries(
         ring, [ring.one] + [sparse_element(rng, ring, nonzero_p) for _ in range(order)]
     )
+
+
+def exponent_map_classes(max_m, max_n):
+    """One map {0..n-1} -> {0..q-1} per equivalence class, n <= max_m, q <= max_n."""
+    seen = {}
+    for n in range(max_m + 1):
+        for q in range(1, max_n + 1):
+            for values in itertools.product(range(q), repeat=n):
+                f = FiniteMap(n, q, values)
+                key = (q, tuple(sorted(f.fiber_sizes())))
+                seen.setdefault(key, f)
+    return list(seen.values())

@@ -12,7 +12,7 @@ import random
 
 import conftest
 
-from _gen import random_unit_series, sparse_element, sparse_unit_series
+from _gen import exponent_map_classes, random_unit_series, sparse_element, sparse_unit_series
 from powerstruct.cli import main as cli_main
 from powerstruct.finite_model import (
     FiniteMap,
@@ -118,21 +118,10 @@ def test_integer_coherence():
             assert via_formula == via_lambda == via_mul
 
 
-def _exponent_map_classes(max_m, max_n):
-    seen = {}
-    for n in range(max_m + 1):
-        for q in range(1, max_n + 1):
-            for values in itertools.product(range(q), repeat=n):
-                f = FiniteMap(n, q, values)
-                key = (q, tuple(sorted(f.fiber_sizes())))
-                seen.setdefault(key, f)
-    return list(seen.values())
-
-
 @criterion(3, "geometric orbit counts match the coefficient formula")
 def test_geometric_oracle():
     lam = LambdaStructure("kapranov", INTEGERS)
-    for f in _exponent_map_classes(4, 3):
+    for f in exponent_map_classes(4, 3):
         m = class_of(f)
         for sizes in itertools.product(range(4), repeat=3):
             coeffs = [FiniteMap.constant(s) for s in sizes]

@@ -1,10 +1,13 @@
 import itertools
 import math
 import random
+from collections.abc import Sequence
 
 import pytest
 
-from powerstruct import finite_model
+from _gen import exponent_map_classes
+from _reference import brute_force_profile_orbits
+from powerstruct import finite_model, kernels
 from powerstruct.finite_model import (
     BudgetExceededError,
     EquivalenceCheckError,
@@ -19,7 +22,7 @@ from powerstruct.finite_model import (
     particle_configuration_count,
     symmetric_power_map,
 )
-from powerstruct.kernels import OrbitCheckError, available_backends
+from powerstruct.kernels import OrbitCheckError
 from powerstruct.lambdas import integer_power_formula
 from powerstruct.rings import INTEGERS
 from powerstruct.series import TruncatedSeries
@@ -130,18 +133,83 @@ def test_particle_configuration_count():
     assert particle_configuration_count(0, [5], 0) == 1
 
 
+def test_particle_count_is_a_coefficient_of_the_integer_power():
+    # configurations of total charge k are the t^k coefficient of (1 + sum |X_i| t^i)^m
+    def expected(m, sizes, k):
+        series = TruncatedSeries(INTEGERS, [1, *sizes, *[0] * k])
+        return series.int_pow(m).coefficients[k]
+
+    for m in range(7):
+        for n in range(4):
+            for sizes in itertools.product(range(4), repeat=n):
+                for k in range(7):
+                    assert particle_configuration_count(m, sizes, k) == expected(m, sizes, k)
+    sizes = [3, 1, 4, 1, 5, 9]
+    assert particle_configuration_count(12, sizes, 6) == expected(12, sizes, 6)
+
+
+# The three cases that open every perfbench oracle run, as kernel inputs.
+BENCHMARK_CASES = [
+    (6, [x % 2 for x in range(6)], [(3, 4, [0, 1, 0, 1], 2)]),
+    (7, [x % 3 for x in range(7)], [(4, 4, [0, 1, 2, 0], 3)]),
+    (8, [x % 2 for x in range(8)], [(3, 3, [0, 0, 1], 2), (2, 3, [1, 0, 1], 2)]),
+]
+
+
+def _random_profile(rng):
+    """Kernel inputs with m 0-6 and 1-3 blocks, including k_i = 0, |X_i| = 0 and s > m."""
+    while True:
+        m_size = rng.randint(0, 6)
+        q = rng.randint(1, 3)
+        f_values = [rng.randrange(q) for _ in range(m_size)]
+        blocks = []
+        for _ in range(rng.randint(1, 3)):
+            k, x_size, y_size = rng.randint(0, 3), rng.randint(0, 3), rng.randint(1, 3)
+            blocks.append((k, x_size, [rng.randrange(y_size) for _ in range(x_size)], y_size))
+        s = sum(k for k, _, _, _ in blocks)
+        raw = math.perm(m_size, s) * math.prod(x**k for k, x, _, _ in blocks)
+        if s > 0 and raw <= 5000:  # keeps the brute force cheap
+            return m_size, f_values, blocks
+
+
 def test_backends_agree():
-    backends = available_backends()
-    cases = [
+    # the orderly kernel against the brute-force reference that visits every tuple
+    rng = random.Random(3)
+    cases = [_random_profile(rng) for _ in range(500)]
+    assert any(sum(b[0] for b in blocks) > m for m, _, blocks in cases)
+    assert any(k == 0 for _, _, blocks in cases for k, _, _, _ in blocks)
+    assert any(k > 0 and x == 0 for _, _, blocks in cases for k, x, _, _ in blocks)
+    cases += [
         (4, [0, 1, 0, 1], [(2, 2, [0, 1], 2)]),
         (5, [0, 0, 1, 1, 2], [(1, 3, [0, 1, 1], 2), (2, 2, [1, 0], 2)]),
         (3, [0, 0, 0], [(3, 2, [0, 0], 1)]),
     ]
     for m_size, f_values, blocks in cases:
-        values = {
-            name: kernel(m_size, f_values, blocks) for name, kernel in backends.items()
-        }
-        assert len(set(values.values())) == 1, values
+        expected = brute_force_profile_orbits(m_size, f_values, blocks)
+        assert kernels.count_profile_orbits(m_size, f_values, blocks) == expected
+
+    # every kernel call that the criterion-3 grid makes
+    calls = []
+
+    def both(m_size, f_values, blocks):
+        orderly = kernels.count_profile_orbits(m_size, f_values, blocks)
+        calls.append(orderly)
+        assert orderly == brute_force_profile_orbits(m_size, f_values, blocks)
+        return orderly
+
+    for f in exponent_map_classes(4, 3):
+        for sizes in itertools.product(range(4), repeat=3):
+            coeffs = [FiniteMap.constant(s) for s in sizes]
+            for k in range(1, 6):
+                geometric_power_coefficient(f, coeffs, k, backend=both)
+    assert len(calls) > 1000
+
+
+@pytest.mark.parametrize("case", range(len(BENCHMARK_CASES)))
+def test_benchmark_cases_match_brute_force(case):
+    m_size, f_values, blocks = BENCHMARK_CASES[case]
+    expected = brute_force_profile_orbits(m_size, f_values, blocks)
+    assert kernels.count_profile_orbits(m_size, f_values, blocks) == expected
 
 
 def test_nonconstant_coefficient_maps():
@@ -195,6 +263,40 @@ class _DriftingMap(FiniteMap):
     def __call__(self, x: int) -> int:
         shift = next(self.queries) >= self.source_size
         return (self.values[x] + shift) % self.target_size
+
+
+class _DriftingValues(Sequence):
+    """g_values that answer the first query truthfully, then shift every later one."""
+
+    def __init__(self, values, target_size):
+        self.values, self.target_size = list(values), target_size
+        self.queries = itertools.count()
+
+    def __len__(self):
+        return len(self.values)
+
+    def __getitem__(self, x):
+        shift = next(self.queries) >= 1
+        return (self.values[x] + shift) % self.target_size
+
+
+def test_kernel_checks_well_definedness():
+    blocks = [(2, 2, _DriftingValues([0, 1], 2), 2)]
+    with pytest.raises(OrbitCheckError, match="not well defined"):
+        kernels.count_profile_orbits(3, [0, 0, 0], blocks)
+    # the same input with honest values passes
+    assert kernels.count_profile_orbits(3, [0, 0, 0], [(2, 2, [0, 1], 2)]) == 12
+
+
+def test_kernel_checks_freeness(monkeypatch):
+    # an enumeration that misses one point subset no longer covers every tuple
+    monkeypatch.setattr(
+        kernels, "combinations", lambda pool, r: list(itertools.combinations(pool, r))[:-1]
+    )
+    with pytest.raises(OrbitCheckError, match="non-free action"):
+        kernels.count_profile_orbits(4, [0, 0, 0, 0], [(2, 1, [0], 1)])
+    with pytest.raises(OrbitCheckError, match="non-free action"):
+        geometric_power_coefficient(FiniteMap.constant(3), [FiniteMap.constant(2)], 2)
 
 
 def test_failed_cross_checks_raise_named_errors(monkeypatch):
