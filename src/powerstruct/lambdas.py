@@ -1,14 +1,15 @@
 """Lambda-structures, Exp/Log, and power structures on truncated series.
 
 A lambda-structure assigns to each ring element a unit series
-lambda_a(t) = 1 + a*t + ... with lambda_{a+b} = lambda_a * lambda_b.  Four are
-provided:
+lambda_a(t) = 1 + a*t + ... with lambda_{a+b} = lambda_a * lambda_b.  The four
+provided are one signed product over the terms p*x of a (x a monomial),
 
-  kapranov      lambda_a(t) = (1-t)^{-a}            (integer a)
-  binomial      lambda_a(t) = (1+t)^a               (integer a)
-  poly-product  lambda_P(t) = prod (1 - u^k t)^{-p_k} over the terms p_k*u^k
-                of P; restricts to kapranov on constants
-  opposite      lambda_a(t) = the poly-product series of -a with t -> -t
+  lambda_a(t) = prod (1 - sigma*x*t)^{-sigma*p},
+
+with sigma = +1 for kapranov and poly-product, and sigma = -1 for binomial and
+opposite, which are the same structures with t -> -t.  Kapranov, (1-t)^{-a},
+and binomial, (1+t)^a, take integer exponents only; poly-product and opposite
+take any polynomial and restrict to them on constants.
 
 Every unit series factors uniquely as prod_i lambda_{b_i}(t^i); scaling each
 b_i by a ring element m and recombining is the power structure attached to
@@ -19,12 +20,13 @@ charge profiles) is implemented independently as a cross-check.
 from __future__ import annotations
 
 import math
-from typing import Dict, Iterator, List, Sequence, Tuple
+from typing import Dict, Iterator, List, Sequence
 
 from .rings import Ring
 from .series import NonUnitError, TruncatedSeries
 
 LAMBDA_KINDS = ("kapranov", "binomial", "opposite", "poly-product")
+_SIGN = {"kapranov": 1, "binomial": -1, "opposite": -1, "poly-product": 1}
 
 
 class UnsupportedLambdaError(ValueError):
@@ -46,9 +48,6 @@ class LambdaStructure:
     def __repr__(self) -> str:
         return f"LambdaStructure({self.kind}, {self.ring.name})"
 
-    def series(self, a, order: int) -> TruncatedSeries:
-        return lambda_series(self, a, order)
-
 
 def _one_minus_xt_power(ring: Ring, x, e: int, order: int) -> TruncatedSeries:
     """(1 - x*t)^e truncated, for any integer e: coefficient j is
@@ -56,47 +55,27 @@ def _one_minus_xt_power(ring: Ring, x, e: int, order: int) -> TruncatedSeries:
     coeffs = [ring.one]
     xpow = ring.one
     for j in range(1, order + 1):
-        xpow = ring.mul(xpow, x)
-        c = (-1) ** j * generalized_binomial(e, j)
-        coeffs.append(ring.mul(ring.from_int(c), xpow))
+        xpow = xpow * x
+        coeffs.append(ring.from_int((-1) ** j * generalized_binomial(e, j)) * xpow)
     return TruncatedSeries(ring, coeffs)
-
-
-def _poly_product_series(ring: Ring, a, order: int) -> TruncatedSeries:
-    """prod over terms p*u^k of a of (1 - u^k t)^{-p}, truncated."""
-    result = TruncatedSeries.one(ring, order)
-    for exps, p in ring.terms(a):
-        result = result * _one_minus_xt_power(ring, ring.monomial(exps), -p, order)
-    return result
-
-
-def _negate_odd(a: TruncatedSeries) -> TruncatedSeries:
-    ring = a.ring
-    return TruncatedSeries(
-        ring,
-        [c if j % 2 == 0 else ring.neg(c) for j, c in enumerate(a.coefficients)],
-    )
 
 
 def lambda_series(lam: LambdaStructure, a, order: int) -> TruncatedSeries:
     """The series lambda_a truncated at `order`."""
     ring = lam.ring
     a = ring.coerce(a)
-    if lam.kind == "poly-product":
-        return _poly_product_series(ring, a, order)
-    if lam.kind == "opposite":
-        return _negate_odd(_poly_product_series(ring, ring.neg(a), order))
     # kapranov and binomial need a constant (integer) exponent
-    if not ring.is_constant(a):
+    if lam.kind in ("kapranov", "binomial") and not ring.is_constant(a):
         raise UnsupportedLambdaError(
             f"{lam.kind} lambda is defined for integer exponents only; "
             f"got {ring.format_element(a)} (use poly-product)"
         )
-    n = ring.as_int(a)
-    if lam.kind == "kapranov":
-        return _one_minus_xt_power(ring, ring.one, -n, order)
-    # binomial: (1 + t)^n = (1 - (-1)t)^n
-    return _one_minus_xt_power(ring, ring.from_int(-1), n, order)
+    sign = _SIGN[lam.kind]
+    result = None
+    for exps, p in ring.terms(a):
+        factor = _one_minus_xt_power(ring, ring.monomial(exps, sign), -sign * p, order)
+        result = factor if result is None else result * factor
+    return TruncatedSeries.one(ring, order) if result is None else result
 
 
 def decompose_product(A: TruncatedSeries, lam: LambdaStructure) -> List:
@@ -113,7 +92,7 @@ def decompose_product(A: TruncatedSeries, lam: LambdaStructure) -> List:
     for k in range(1, A.order + 1):
         b_k = residual.coefficients[k]
         bs.append(b_k)
-        if not ring.is_zero(b_k):
+        if b_k:
             factor = lambda_series(lam, b_k, A.order // k).rescale(k, order=A.order)
             residual = residual * factor.invert()
     return bs
@@ -129,7 +108,7 @@ def exp_map(B: Sequence, lam: LambdaStructure, order: int | None = None) -> Trun
         if k > order:
             break
         b = ring.coerce(b)
-        if ring.is_zero(b):
+        if not b:
             continue
         result = result * lambda_series(lam, b, order // k).rescale(k, order=order)
     return result
@@ -147,7 +126,7 @@ def power(A: TruncatedSeries, m, lam: LambdaStructure) -> TruncatedSeries:
         raise ValueError(f"series over {A.ring.name}, lambda over {ring.name}")
     m = ring.coerce(m)
     bs = decompose_product(A, lam)
-    return exp_map([ring.mul(m, b) for b in bs], lam, A.order)
+    return exp_map([m * b for b in bs], lam, A.order)
 
 
 # -- charge profiles and the closed-form integer power ----------------------
@@ -209,13 +188,13 @@ def integer_power_formula(A: TruncatedSeries, m: int) -> TruncatedSeries:
             for i, k_i in sorted(profile.items()):
                 factor //= math.factorial(k_i)
                 a_i = A.coefficients[i]
-                if ring.is_zero(a_i):
+                if not a_i:
                     skip = True
                     break
-                p = ring.int_pow(a_i, k_i)
-                term = p if term is None else ring.mul(term, p)
+                p = a_i**k_i
+                term = p if term is None else term * p
             if skip or factor == 0:
                 continue
-            acc = ring.add(acc, ring.mul(ring.from_int(factor), term))
+            acc = acc + ring.from_int(factor) * term
         out[k] = acc
     return TruncatedSeries(ring, out)

@@ -37,7 +37,7 @@ def hilb_local_surface(order: int) -> TruncatedSeries:
     for i in range(1, order + 1):
         coeffs = [ring.zero] * (order + 1)
         coeffs[0] = ring.one
-        coeffs[i] = ring.neg(ring.monomial((i - 1,)))
+        coeffs[i] = ring.monomial((i - 1,), -1)
         result = result * TruncatedSeries(ring, coeffs).invert()
     return result
 

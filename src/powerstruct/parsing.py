@@ -155,18 +155,18 @@ def _eval_poly(node, ring: Ring):
         if name == "t":
             raise ParseError("'t' is reserved for series", offset)
         try:
-            return ring.int_pow(ring.gen(name), exp)
+            return ring.gen(name) ** exp
         except UnboundVariableError:
             raise ParseError(f"variable {name!r} is not in the ring {ring.name}", offset)
     if kind == "neg":
-        return ring.neg(_eval_poly(node[2], ring))
+        return -_eval_poly(node[2], ring)
     a = _eval_poly(node[2], ring)
     b = _eval_poly(node[3], ring)
     if kind == "add":
-        return ring.add(a, b)
+        return a + b
     if kind == "sub":
-        return ring.sub(a, b)
-    return ring.mul(a, b)
+        return a - b
+    return a * b
 
 
 def parse_polynomial(text: str, ring: Optional[Ring] = None):
@@ -195,11 +195,11 @@ def _eval_series(node, ring: Ring) -> Dict[int, object]:
         if name == "t":
             return {exp: ring.one}
         try:
-            return {0: ring.int_pow(ring.gen(name), exp)}
+            return {0: ring.gen(name) ** exp}
         except UnboundVariableError:
             raise ParseError(f"variable {name!r} is not in the ring {ring.name}", offset)
     if kind == "neg":
-        return {d: ring.neg(c) for d, c in _eval_series(node[2], ring).items()}
+        return {d: -c for d, c in _eval_series(node[2], ring).items()}
     a = _eval_series(node[2], ring)
     b = _eval_series(node[3], ring)
     out: Dict[int, object] = {}
@@ -207,15 +207,15 @@ def _eval_series(node, ring: Ring) -> Dict[int, object]:
         for d, c in a.items():
             out[d] = c
         for d, c in b.items():
-            c = ring.neg(c) if kind == "sub" else c
-            out[d] = ring.add(out[d], c) if d in out else c
+            c = -c if kind == "sub" else c
+            out[d] = out[d] + c if d in out else c
     else:  # mul
         for d1, c1 in a.items():
             for d2, c2 in b.items():
                 d = d1 + d2
-                p = ring.mul(c1, c2)
-                out[d] = ring.add(out[d], p) if d in out else p
-    return {d: c for d, c in out.items() if not ring.is_zero(c)}
+                p = c1 * c2
+                out[d] = out[d] + p if d in out else p
+    return {d: c for d, c in out.items() if c}
 
 
 def parse_series(
@@ -229,7 +229,7 @@ def parse_series(
     if not text.strip():
         raise ParseError("empty expression", 0)
     if order < 0:
-        raise ValueError("order must be nonnegative")
+        raise ValueError(f"order must be nonnegative, got {order}")
     if diagnostics is None:
         diagnostics = sys.stderr
     ast = _Parser(text).parse()

@@ -196,17 +196,8 @@ class SparsePolynomial:
     def __bool__(self) -> bool:
         return bool(self.terms)
 
-    def is_zero(self) -> bool:
-        return not self.terms
-
     def is_constant(self) -> bool:
         return all(not any(e) for e in self.terms)
-
-    def constant_term(self) -> int:
-        return self.terms.get((0,) * len(self.variables), 0)
-
-    def total_degree(self) -> int:
-        return max((sum(e) for e in self.terms), default=0)
 
     def sorted_terms(self) -> Iterator[Tuple[ExponentVector, int]]:
         for exps in sorted(self.terms, key=_grlex_key):
@@ -228,8 +219,8 @@ class SparsePolynomial:
         for exps, coeff in self.terms.items():
             term = target.from_int(coeff)
             for image, e in zip(images, exps):
-                term = target.mul(term, target.int_pow(image, e))
-            acc = target.add(acc, term)
+                term = term * image**e
+            acc = acc + term
         return acc
 
     # -- formatting ------------------------------------------------------
@@ -264,7 +255,9 @@ class Ring:
     """Z (empty variable list) or Z[x1,...,xr].
 
     Z is semantically the arity-0 polynomial ring but its elements are plain
-    ints for convenience and speed; the interface is the same either way.
+    ints for convenience and speed.  Elements of either kind do arithmetic
+    with the Python operators + - * ** == and truth testing (nonzero is
+    true); a Ring only builds, coerces, lists the terms of and formats them.
     """
 
     __slots__ = ("variables",)
@@ -339,31 +332,6 @@ class Ring:
             return x
         raise TypeError(f"cannot interpret {type(x).__name__} as a {self.name} element")
 
-    # -- arithmetic --------------------------------------------------------
-
-    def add(self, a, b):
-        return a + b
-
-    def sub(self, a, b):
-        return a - b
-
-    def neg(self, a):
-        return -a
-
-    def mul(self, a, b):
-        return a * b
-
-    def int_pow(self, a, n: int):
-        if n < 0:
-            raise ValueError("negative powers are not defined in the ring")
-        return a ** n
-
-    def eq(self, a, b) -> bool:
-        return a == b
-
-    def is_zero(self, a) -> bool:
-        return a == 0 if self.is_integers else a.is_zero()
-
     # -- structure queries ---------------------------------------------------
 
     def terms(self, a) -> Iterator[Tuple[ExponentVector, int]]:
@@ -374,15 +342,6 @@ class Ring:
                 yield (), a
             return
         yield from a.sorted_terms()
-
-    def as_int(self, a) -> int:
-        """The integer value of a constant element; raises if non-constant."""
-        a = self.coerce(a)
-        if self.is_integers:
-            return a
-        if not a.is_constant():
-            raise ValueError(f"{a} is not a constant of {self.name}")
-        return a.constant_term()
 
     def is_constant(self, a) -> bool:
         a = self.coerce(a)

@@ -29,6 +29,11 @@ def _nonzero_terms(coefficients: Sequence, order: int) -> List[Tuple[int, object
     return [(j, c) for j, c in enumerate(coefficients[: order + 1]) if c]
 
 
+def _check_order(order: int) -> None:
+    if order < 0:
+        raise ValueError(f"order must be nonnegative, got {order}")
+
+
 class TruncatedSeries:
     __slots__ = ("ring", "coefficients")
 
@@ -54,34 +59,36 @@ class TruncatedSeries:
 
     @classmethod
     def one(cls, ring: Ring, order: int) -> "TruncatedSeries":
+        _check_order(order)
         return cls(ring, [ring.one] + [ring.zero] * order)
 
     @classmethod
     def zero(cls, ring: Ring, order: int) -> "TruncatedSeries":
+        _check_order(order)
         return cls(ring, [ring.zero] * (order + 1))
 
     @classmethod
     def geometric(cls, ring: Ring, order: int) -> "TruncatedSeries":
         """(1 - t)^{-1} = 1 + t + t^2 + ..."""
+        _check_order(order)
         return cls(ring, [ring.one] * (order + 1))
 
     @classmethod
     def one_plus_t(cls, ring: Ring, order: int) -> "TruncatedSeries":
+        _check_order(order)
         coeffs = [ring.one] + [ring.zero] * order
         if order >= 1:
             coeffs[1] = ring.one
         return cls(ring, coeffs)
 
-    def coefficient(self, j: int):
-        return self.coefficients[j]
-
     def truncate(self, order: int) -> "TruncatedSeries":
+        _check_order(order)
         if order >= self.order:
             return self
         return TruncatedSeries(self.ring, self.coefficients[: order + 1])
 
     def is_unit(self) -> bool:
-        return self.ring.eq(self.coefficients[0], self.ring.one)
+        return self.coefficients[0] == self.ring.one
 
     # -- arithmetic -----------------------------------------------------
 
@@ -95,19 +102,15 @@ class TruncatedSeries:
         return min(self.order, other.order)
 
     def __add__(self, other: "TruncatedSeries") -> "TruncatedSeries":
-        n = self._common(other)
-        ring = self.ring
+        self._common(other)
         return TruncatedSeries(
-            ring,
-            [ring.add(self.coefficients[j], other.coefficients[j]) for j in range(n + 1)],
+            self.ring, [a + b for a, b in zip(self.coefficients, other.coefficients)]
         )
 
     def __sub__(self, other: "TruncatedSeries") -> "TruncatedSeries":
-        n = self._common(other)
-        ring = self.ring
+        self._common(other)
         return TruncatedSeries(
-            ring,
-            [ring.sub(self.coefficients[j], other.coefficients[j]) for j in range(n + 1)],
+            self.ring, [a - b for a, b in zip(self.coefficients, other.coefficients)]
         )
 
     def __mul__(self, other: "TruncatedSeries") -> "TruncatedSeries":
@@ -159,8 +162,7 @@ class TruncatedSeries:
             raise ValueError(f"rescale factor must be >= 1, got {k}")
         if order is None:
             order = self.order
-        if order < 0:
-            raise ValueError(f"order must be nonnegative, got {order}")
+        _check_order(order)
         ring = self.ring
         out = [ring.zero] * (order + 1)
         for j, c in enumerate(self.coefficients):
@@ -194,9 +196,7 @@ class TruncatedSeries:
             raise RingMismatchError(
                 f"series over {self.ring.name} and {other.ring.name}"
             )
-        return all(
-            self.ring.eq(self.coefficients[j], other.coefficients[j]) for j in range(k)
-        )
+        return self.coefficients[:k] == other.coefficients[:k]
 
     def __eq__(self, other) -> bool:
         return (
@@ -212,7 +212,7 @@ class TruncatedSeries:
         ring = self.ring
         pieces = []
         for j, c in enumerate(self.coefficients):
-            if ring.is_zero(c):
+            if not c:
                 continue
             cs = ring.format_element(c)
             if j == 0:

@@ -1,10 +1,11 @@
-"""Slow reference routes that the fast series, Log/Exp and orbit paths must equal.
+"""Slow reference routes that the fast series, lambda, Log/Exp and orbit paths must equal.
 
-These are the dense convolution, the dense inverse, the factor-by-factor
-Log/Exp that build every factor lambda_b(t^k) to the full order N before
-rescaling, and the brute-force orbit count that visits every element of
-every orbit.  They are kept only so tests can compare the fast routes
-against them.
+These are the dense convolution, the dense inverse, the per-kind lambda
+series (one branch per lambda kind), the factor-by-factor Log/Exp that build
+every factor lambda_b(t^k) to the full order N before rescaling, and the
+brute-force orbit count that visits every element of every orbit.  They are
+kept only so tests can compare the fast routes against them, and they share
+no lambda code with the library.
 """
 
 import itertools
@@ -12,7 +13,8 @@ import math
 from typing import List, Sequence, Tuple
 
 from powerstruct.kernels import Block, OrbitCheckError
-from powerstruct.lambdas import LambdaStructure, lambda_series
+from powerstruct.lambdas import LambdaStructure, UnsupportedLambdaError
+from powerstruct.rings import Ring
 from powerstruct.series import NonUnitError, TruncatedSeries
 
 
@@ -24,9 +26,9 @@ def dense_mul(a: TruncatedSeries, b: TruncatedSeries) -> TruncatedSeries:
         acc = ring.zero
         for i in range(j + 1):
             ci, cj = a.coefficients[i], b.coefficients[j - i]
-            if ring.is_zero(ci) or ring.is_zero(cj):
+            if not ci or not cj:
                 continue
-            acc = ring.add(acc, ring.mul(ci, cj))
+            acc = acc + ci * cj
         out.append(acc)
     return TruncatedSeries(ring, out)
 
@@ -40,11 +42,59 @@ def dense_invert(a: TruncatedSeries) -> TruncatedSeries:
         acc = ring.zero
         for i in range(1, j + 1):
             ci = a.coefficients[i]
-            if ring.is_zero(ci):
+            if not ci:
                 continue
-            acc = ring.add(acc, ring.mul(ci, inv[j - i]))
-        inv.append(ring.neg(acc))
+            acc = acc + ci * inv[j - i]
+        inv.append(-acc)
     return TruncatedSeries(ring, inv)
+
+
+def _one_minus_xt_power(ring: Ring, x, e: int, order: int) -> TruncatedSeries:
+    """(1 - x*t)^e truncated; binom(e, j) is the falling factorial e^(j) / j!."""
+    coeffs = [ring.one]
+    xpow = ring.one
+    for j in range(1, order + 1):
+        xpow = xpow * x
+        binom = math.prod(range(e - j + 1, e + 1)) // math.factorial(j)
+        coeffs.append(ring.from_int((-1) ** j * binom) * xpow)
+    return TruncatedSeries(ring, coeffs)
+
+
+def _poly_product_series(ring: Ring, a, order: int) -> TruncatedSeries:
+    """prod over terms p*u^k of a of (1 - u^k t)^{-p}, truncated."""
+    result = TruncatedSeries.one(ring, order)
+    for exps, p in ring.terms(a):
+        result = result * _one_minus_xt_power(ring, ring.monomial(exps), -p, order)
+    return result
+
+
+def _negate_odd(a: TruncatedSeries) -> TruncatedSeries:
+    ring = a.ring
+    return TruncatedSeries(
+        ring,
+        [c if j % 2 == 0 else -c for j, c in enumerate(a.coefficients)],
+    )
+
+
+def per_kind_lambda_series(lam: LambdaStructure, a, order: int) -> TruncatedSeries:
+    """The series lambda_a truncated at `order`, one branch per lambda kind."""
+    ring = lam.ring
+    a = ring.coerce(a)
+    if lam.kind == "poly-product":
+        return _poly_product_series(ring, a, order)
+    if lam.kind == "opposite":
+        return _negate_odd(_poly_product_series(ring, -a, order))
+    # kapranov and binomial need a constant (integer) exponent
+    if not ring.is_constant(a):
+        raise UnsupportedLambdaError(
+            f"{lam.kind} lambda is defined for integer exponents only; "
+            f"got {ring.format_element(a)} (use poly-product)"
+        )
+    n = sum(p for _, p in ring.terms(a))  # the constant term
+    if lam.kind == "kapranov":
+        return _one_minus_xt_power(ring, ring.one, -n, order)
+    # binomial: (1 + t)^n = (1 - (-1)t)^n
+    return _one_minus_xt_power(ring, ring.from_int(-1), n, order)
 
 
 def full_order_decompose(A: TruncatedSeries, lam: LambdaStructure) -> List:
@@ -56,8 +106,8 @@ def full_order_decompose(A: TruncatedSeries, lam: LambdaStructure) -> List:
     for k in range(1, A.order + 1):
         b_k = residual.coefficients[k]
         bs.append(b_k)
-        if not ring.is_zero(b_k):
-            factor = lambda_series(lam, b_k, A.order).rescale(k)
+        if b_k:
+            factor = per_kind_lambda_series(lam, b_k, A.order).rescale(k)
             residual = dense_mul(residual, dense_invert(factor))
     return bs
 
@@ -67,9 +117,9 @@ def full_order_exp(B: Sequence, lam: LambdaStructure, order: int) -> TruncatedSe
     result = TruncatedSeries.one(ring, order)
     for k, b in enumerate(B[:order], start=1):
         b = ring.coerce(b)
-        if ring.is_zero(b):
+        if not b:
             continue
-        result = dense_mul(result, lambda_series(lam, b, order).rescale(k))
+        result = dense_mul(result, per_kind_lambda_series(lam, b, order).rescale(k))
     return result
 
 
@@ -77,7 +127,7 @@ def full_order_power(A: TruncatedSeries, m, lam: LambdaStructure) -> TruncatedSe
     ring = lam.ring
     m = ring.coerce(m)
     bs = full_order_decompose(A, lam)
-    return full_order_exp([ring.mul(m, b) for b in bs], lam, A.order)
+    return full_order_exp([m * b for b in bs], lam, A.order)
 
 
 def brute_force_profile_orbits(m_size: int, f_values: Sequence[int], blocks: Sequence[Block]) -> int:

@@ -74,10 +74,10 @@ def _check_axiom_bundle(rng, ring, lam, integer_exponents, order=10):
     # (A*B)^m = A^m * B^m
     assert power(A * B, m, lam) == power(A, m, lam) * power(B, m, lam)
     # A^(m+n) = A^m * A^n
-    m_plus_n = m + n if integer_exponents else ring.add(m, n)
+    m_plus_n = m + n
     assert power(A, m_plus_n, lam) == power(A, m, lam) * power(A, n, lam)
     # A^(m*n) = (A^n)^m
-    m_times_n = m * n if integer_exponents else ring.mul(m, n)
+    m_times_n = m * n
     assert power(A, m_times_n, lam) == power(power(A, n, lam), m, lam)
     # (1+t)^m = 1 + m*t + higher order
     opt = power(TruncatedSeries.one_plus_t(ring, order), m, lam)
@@ -173,14 +173,12 @@ def test_multiplicativity_bijection():
 @criterion(6, "symmetric-product zeta values and specialization compatibility")
 def test_zeta_and_specialization():
     uv = SparsePolynomial(("u", "v"), {(1, 1): 1})
-    e = HODGE_RING.add(HODGE_RING.one, uv)
+    e = HODGE_RING.one + uv
     z = hodge_zeta(e, 8)
     for k in range(9):
         expected = HODGE_RING.zero
         for i in range(k + 1):
-            expected = HODGE_RING.add(
-                expected, SparsePolynomial(("u", "v"), {(i, i): 1})
-            )
+            expected = expected + SparsePolynomial(("u", "v"), {(i, i): 1})
         assert z.coefficients[k] == expected
 
     rng = random.Random(6)
@@ -263,11 +261,10 @@ def test_finitely_determined():
             bumped = list(A.coefficients)
             for d in range(k, 11):
                 if rng.random() < 0.5:
-                    bumped[d] = ring.add(
-                        bumped[d],
+                    bumped[d] = bumped[d] + (
                         rng.randint(-3, 3)
                         if integer_exponents
-                        else sparse_element(rng, ring),
+                        else sparse_element(rng, ring)
                     )
             B = TruncatedSeries(ring, bumped)
             m = rng.randint(-4, 4) if integer_exponents else sparse_element(rng, ring)
@@ -339,7 +336,7 @@ def test_expr_io():
         for _ in range(50):
             x = sparse_element(rng, ring, coeff_bound=9)
             text = ring.format_element(x)
-            assert ring.eq(parse_polynomial(text, ring), x)
+            assert parse_polynomial(text, ring) == x
             s = sparse_unit_series(rng, ring, 6, nonzero_p=0.7)
             assert parse_series(str(s), ring, 6) == s
 

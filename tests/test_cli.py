@@ -201,3 +201,21 @@ def test_python_m_runs_the_cli(module):
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, "t^0: 1\nt^1: -2\nt^2: 1\nt^3: 0\n", "")
     proc = python_m("bogus")
     assert proc.returncode == 1 and proc.stdout == ""
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["power", "--ring", "Z", "--lambda", "kapranov", "--series", "1 + t", "--exponent", "2"],
+        ["exp", "--ring", "Z", "--lambda", "kapranov", "--coeffs", "1"],
+        ["log", "--ring", "Z", "--lambda", "kapranov", "--series", "1 + t"],
+        ["zeta", "--hodge", "1 + u*v"],
+        ["hilb", "--local"],
+        ["oracle", "--m-size", "3", "--target-size", "1", "--coeff-sizes", "2"],
+    ],
+    ids=lambda argv: argv[0],
+)
+@pytest.mark.parametrize("order", [-1, -2])
+def test_negative_order_is_a_usage_error(argv, order):
+    rc, out, err = run(argv + ["--order", str(order)])
+    assert (rc, out, err) == (1, "", f"error: order must be nonnegative, got {order}\n")

@@ -1,5 +1,6 @@
-"""The sparse series arithmetic and the short-factor Log/Exp equal the slow
-reference routes of tests/_reference.py exactly."""
+"""The sparse series arithmetic, the signed-product lambda series and the
+short-factor Log/Exp equal the slow reference routes of tests/_reference.py
+exactly."""
 
 import random
 
@@ -8,20 +9,29 @@ import pytest
 from powerstruct.lambdas import (
     LAMBDA_KINDS,
     LambdaStructure,
+    UnsupportedLambdaError,
     decompose_product,
     exp_map,
+    lambda_series,
     power,
 )
 from powerstruct.rings import INTEGERS, Ring, SparsePolynomial
 from powerstruct.series import TruncatedSeries
 
-from _gen import random_series, random_unit_series, sparse_element, sparse_unit_series
+from _gen import (
+    random_element,
+    random_series,
+    random_unit_series,
+    sparse_element,
+    sparse_unit_series,
+)
 from _reference import (
     dense_invert,
     dense_mul,
     full_order_decompose,
     full_order_exp,
     full_order_power,
+    per_kind_lambda_series,
 )
 
 UV = Ring(("u", "v"))
@@ -63,6 +73,40 @@ def test_zero_polynomial_coefficients_are_skipped_exactly():
     assert a * b == dense_mul(a, b)
     assert a.invert() == dense_invert(a)
     assert (a * b).coefficients[1] == u and (a * b).coefficients[2] == UV.zero
+
+
+def lambda_exponents(rng, ring):
+    """Zero, constants of both signs, and random (mostly multi-term) elements."""
+    out = [ring.zero, ring.one, ring.from_int(-1), ring.from_int(rng.randint(2, 5)),
+           ring.from_int(-rng.randint(2, 5))]
+    out += [random_element(rng, ring, max_degree=2, max_terms=4) for _ in range(4)]
+    if not ring.is_integers:
+        x = ring.gen(ring.variables[-1])
+        out += [ring.one - x, -(x * x) - ring.gen(ring.variables[0]) + ring.from_int(3)]
+    return out
+
+
+@pytest.mark.parametrize("kind", LAMBDA_KINDS)
+@pytest.mark.parametrize("ring", [INTEGERS, UV, Ring(("a", "b", "c"))], ids=lambda r: r.name)
+def test_lambda_series_equals_the_per_kind_route(kind, ring):
+    lam = LambdaStructure(kind, ring)
+    rng = random.Random(f"{kind} {ring.name}")
+    refused = 0
+    for order in range(17):
+        for a in lambda_exponents(rng, ring):
+            try:
+                expected = per_kind_lambda_series(lam, a, order)
+            except UnsupportedLambdaError as e:
+                with pytest.raises(UnsupportedLambdaError) as got:
+                    lambda_series(lam, a, order)
+                assert str(got.value) == str(e)
+                refused += 1
+                continue
+            got = lambda_series(lam, a, order)
+            assert got == expected
+            assert got.order == order
+    integer_only = kind in ("kapranov", "binomial") and not ring.is_integers
+    assert bool(refused) == integer_only
 
 
 def sparse_coefficients(rng, ring, order):

@@ -26,11 +26,11 @@ def test_hodge_zeta_point():
 
 def test_hodge_zeta_p1():
     # e = 1 + uv: coefficient of t^k is sum_{i<=k} (uv)^i
-    z = hodge_zeta(HODGE_RING.add(HODGE_RING.one, _uv(1, 1)), 3)
+    z = hodge_zeta(HODGE_RING.one + _uv(1, 1), 3)
     for k in range(4):
         expected = HODGE_RING.zero
         for i in range(k + 1):
-            expected = HODGE_RING.add(expected, _uv(i, i))
+            expected = expected + _uv(i, i)
         assert z.coefficients[k] == expected
 
 
@@ -65,8 +65,8 @@ def test_hilb_local_surface_small():
     one = MOTIVIC_RING.one
     assert z.coefficients[0] == one
     assert z.coefficients[1] == one
-    assert z.coefficients[2] == MOTIVIC_RING.add(one, L)
-    assert z.coefficients[3] == MOTIVIC_RING.add(MOTIVIC_RING.add(one, L), MOTIVIC_RING.mul(L, L))
+    assert z.coefficients[2] == one + L
+    assert z.coefficients[3] == one + L + L * L
 
 
 def test_hilb_local_surface_partition_numbers():
@@ -98,12 +98,12 @@ def test_hilb_surface_additive_in_e():
     b = _uv(0, 1)
     za = hilb_surface(a, 5)
     zb = hilb_surface(b, 5)
-    zab = hilb_surface(HODGE_RING.add(a, b), 5)
+    zab = hilb_surface(a + b, 5)
     assert zab == za * zb
 
 
 def test_specialize_euler():
-    z = hodge_zeta(HODGE_RING.add(HODGE_RING.one, _uv(1, 1)), 4)
+    z = hodge_zeta(HODGE_RING.one + _uv(1, 1), 4)
     e = specialize_series(z, "euler")
     assert e == TruncatedSeries(INTEGERS, [1, 2, 3, 4, 5])
 

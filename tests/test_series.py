@@ -24,6 +24,24 @@ def test_additive_identity():
     assert a + TruncatedSeries.zero(INTEGERS, 5) == a
 
 
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda order: TruncatedSeries.one(INTEGERS, order),
+        lambda order: TruncatedSeries.zero(UV, order),
+        lambda order: TruncatedSeries.geometric(INTEGERS, order),
+        lambda order: TruncatedSeries.one_plus_t(UV, order),
+        lambda order: S([1, 2, 3]).truncate(order),
+    ],
+    ids=["one", "zero", "geometric", "one_plus_t", "truncate"],
+)
+def test_negative_order_is_refused(build):
+    assert build(0).order == 0
+    for order in (-1, -2):
+        with pytest.raises(ValueError, match=f"^order must be nonnegative, got {order}$"):
+            build(order)
+
+
 def test_hand_convolution():
     assert S([1, 1, 1]) * S([1, 1, 0]) == S([1, 2, 2])
 
