@@ -92,36 +92,26 @@ def _build_parser() -> _ArgumentParser:
     p.add_argument("--target-size", type=int, required=True)
     p.add_argument("--coeff-sizes", required=True, help="comma-separated |X_1|,|X_2|,...")
     p.add_argument("--order", type=int, required=True, metavar="N")
-    p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
+    p.add_argument(
+        "--budget", type=int, default=DEFAULT_BUDGET,
+        help="most orbit representatives one charge profile may need",
+    )
     p.add_argument("--format", choices=("text", "json"), default="text")
     return parser
 
 
-def _emit_series(series: TruncatedSeries, fmt: str, out) -> None:
-    ring = series.ring
+def _emit(ring: Ring, coefficients: Sequence, first: int, fmt: str, out) -> None:
+    """Print the coefficients of t^first, t^(first+1), ... as text or JSON."""
     if fmt == "json":
         payload = {
             "ring": ring.name,
-            "order": series.order,
-            "coefficients": [ring.format_element(c) for c in series.coefficients],
+            "order": first + len(coefficients) - 1,
+            "coefficients": [ring.format_element(c) for c in coefficients],
         }
         print(json.dumps(payload), file=out)
     else:
-        for j, c in enumerate(series.coefficients):
+        for j, c in enumerate(coefficients, start=first):
             print(f"t^{j}: {ring.format_element(c)}", file=out)
-
-
-def _emit_log_coefficients(ring: Ring, bs: Sequence, fmt: str, out) -> None:
-    if fmt == "json":
-        payload = {
-            "ring": ring.name,
-            "order": len(bs),
-            "coefficients": [ring.format_element(b) for b in bs],
-        }
-        print(json.dumps(payload), file=out)
-    else:
-        for k, b in enumerate(bs, start=1):
-            print(f"t^{k}: {ring.format_element(b)}", file=out)
 
 
 def _cmd_power(args, out) -> int:
@@ -129,7 +119,7 @@ def _cmd_power(args, out) -> int:
     series = parse_series(args.series, ring, args.order)
     exponent = parse_polynomial(args.exponent, ring)
     lam = LambdaStructure(args.lam, ring)
-    _emit_series(power(series, exponent, lam), args.format, out)
+    _emit(ring, power(series, exponent, lam).coefficients, 0, args.format, out)
     return 0
 
 
@@ -137,7 +127,7 @@ def _cmd_exp(args, out) -> int:
     ring = parse_ring(args.ring)
     bs = [parse_polynomial(piece, ring) for piece in args.coeffs.split(",")]
     lam = LambdaStructure(args.lam, ring)
-    _emit_series(exp_map(bs, lam, args.order), args.format, out)
+    _emit(ring, exp_map(bs, lam, args.order).coefficients, 0, args.format, out)
     return 0
 
 
@@ -145,7 +135,7 @@ def _cmd_log(args, out) -> int:
     ring = parse_ring(args.ring)
     series = parse_series(args.series, ring, args.order)
     lam = LambdaStructure(args.lam, ring)
-    _emit_log_coefficients(ring, log_map(series, lam), args.format, out)
+    _emit(ring, log_map(series, lam), 1, args.format, out)
     return 0
 
 
@@ -154,7 +144,7 @@ def _cmd_zeta(args, out) -> int:
     series = hodge_zeta(e, args.order)
     if args.euler:
         series = specialize_series(series, "euler")
-    _emit_series(series, args.format, out)
+    _emit(series.ring, series.coefficients, 0, args.format, out)
     return 0
 
 
@@ -166,7 +156,7 @@ def _cmd_hilb(args, out) -> int:
         series = hilb_surface(e, args.order)
     if args.euler:
         series = specialize_series(series, "euler")
-    _emit_series(series, args.format, out)
+    _emit(series.ring, series.coefficients, 0, args.format, out)
     return 0
 
 

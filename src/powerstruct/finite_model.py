@@ -12,6 +12,7 @@ of the blockwise symmetric-group action on off-diagonal tuples).
 from __future__ import annotations
 
 import itertools
+import math
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import kernels
@@ -212,7 +213,6 @@ def geometric_power_coefficient(
     coeffs: Sequence[FiniteMap],
     k: int,
     budget: int = DEFAULT_BUDGET,
-    backend=None,
 ) -> int:
     """Coefficient of t^k of (1 + [X_1]t + [X_2]t^2 + ...)^[M -> N], by enumeration.
 
@@ -220,33 +220,32 @@ def geometric_power_coefficient(
     kernel, kernels.count_profile_orbits, visits one representative per orbit;
     it checks the well-definedness of the induced orbit map on every
     representative and the free action once per profile (orbit-stabiliser
-    identity).  This function refuses a profile whose m^s * prod |X_i|^{k_i}
-    raw tuples exceed the budget, rejects a negative orbit count and
-    cross-checks the total against the particle-configuration count.  Every
-    failed check raises kernels.OrbitCheckError.
+    identity).  This function refuses, before enumerating, a profile whose
+    perm(m, s) * prod |X_i|^{k_i} / prod k_i! orbit representatives exceed
+    the budget, rejects a negative orbit count and cross-checks the total
+    against the particle-configuration count.  Every failed check raises
+    kernels.OrbitCheckError.
     """
     if k < 1:
         raise ValueError("k must be positive")
-    count = backend or kernels.count_profile_orbits
     m_size = exponent.source_size
     total = 0
     for profile in charge_profiles(k):
         sizes_ok = all(i <= len(coeffs) for i in profile)
         if not sizes_ok:
             continue  # that coefficient is the empty set; the summand is 0
-        s = sum(profile.values())
-        raw = m_size**s
+        reps = math.perm(m_size, sum(profile.values()))
         blocks = []
         for i, k_i in sorted(profile.items()):
             x = coeffs[i - 1]
-            raw *= x.source_size**k_i
+            reps = reps * x.source_size**k_i // math.factorial(k_i)  # exact division
             blocks.append((k_i, x.source_size, x.values, x.target_size))
-        if raw > budget:
+        if reps > budget:
             raise BudgetExceededError(
-                f"profile {dict(sorted(profile.items()))} needs {raw} raw tuples "
-                f"(budget {budget})"
+                f"profile {dict(sorted(profile.items()))} needs {reps} orbit "
+                f"representatives (budget {budget})"
             )
-        orbits = count(m_size, exponent.values, blocks)
+        orbits = kernels.count_profile_orbits(m_size, exponent.values, blocks)
         if orbits < 0:
             raise kernels.OrbitCheckError(
                 f"profile {dict(sorted(profile.items()))} has {orbits} orbits"

@@ -11,10 +11,12 @@ opposite, which are the same structures with t -> -t.  Kapranov, (1-t)^{-a},
 and binomial, (1+t)^a, take integer exponents only; poly-product and opposite
 take any polynomial and restrict to them on constants.
 
-Every unit series factors uniquely as prod_i lambda_{b_i}(t^i); scaling each
-b_i by a ring element m and recombining is the power structure attached to
-the lambda-structure.  The closed-form integer power (partition sum over
-charge profiles) is implemented independently as a cross-check.
+Every unit series factors uniquely as prod_i lambda_{b_i}(t^i).  Exp builds
+that product; Log peels it degree by degree, multiplying by
+lambda_{-b_k}(t^k) = lambda_{b_k}(t^k)^{-1}, so it takes no series inverse.
+Scaling each b_i by a ring element m and recombining is the power structure
+attached to the lambda-structure.  The closed-form integer power (partition
+sum over charge profiles) is implemented independently as a cross-check.
 """
 
 from __future__ import annotations
@@ -60,16 +62,21 @@ def _one_minus_xt_power(ring: Ring, x, e: int, order: int) -> TruncatedSeries:
     return TruncatedSeries(ring, coeffs)
 
 
-def lambda_series(lam: LambdaStructure, a, order: int) -> TruncatedSeries:
-    """The series lambda_a truncated at `order`."""
+def _check_domain(lam: LambdaStructure, a) -> None:
+    """kapranov and binomial need a constant (integer) exponent."""
     ring = lam.ring
-    a = ring.coerce(a)
-    # kapranov and binomial need a constant (integer) exponent
     if lam.kind in ("kapranov", "binomial") and not ring.is_constant(a):
         raise UnsupportedLambdaError(
             f"{lam.kind} lambda is defined for integer exponents only; "
             f"got {ring.format_element(a)} (use poly-product)"
         )
+
+
+def lambda_series(lam: LambdaStructure, a, order: int) -> TruncatedSeries:
+    """The series lambda_a truncated at `order`."""
+    ring = lam.ring
+    a = ring.coerce(a)
+    _check_domain(lam, a)
     sign = _SIGN[lam.kind]
     result = None
     for exps, p in ring.terms(a):
@@ -78,23 +85,28 @@ def lambda_series(lam: LambdaStructure, a, order: int) -> TruncatedSeries:
     return TruncatedSeries.one(ring, order) if result is None else result
 
 
+def _factor(lam: LambdaStructure, b, k: int, order: int) -> TruncatedSeries:
+    """lambda_b(t^k) truncated at `order`; only lambda_b up to t^(order // k) survives."""
+    return lambda_series(lam, b, order // k).rescale(k, order=order)
+
+
 def decompose_product(A: TruncatedSeries, lam: LambdaStructure) -> List:
     """Coefficients b_1..b_N of the unique factorization A = prod lambda_{b_i}(t^i).
 
-    Peels degrees bottom-up: after dividing out prod_{i<k} lambda_{b_i}(t^i),
-    the residual is 1 + b_k t^k + O(t^{k+1}).
+    Peels degrees bottom-up: after multiplying A by prod_{i<k} lambda_{-b_i}(t^i),
+    the inverse of prod_{i<k} lambda_{b_i}(t^i), the residual is
+    1 + b_k t^k + O(t^{k+1}).
     """
     if not A.is_unit():
         raise NonUnitError("only series with constant term 1 decompose")
-    ring = A.ring
     residual = A
     bs: List = []
     for k in range(1, A.order + 1):
         b_k = residual.coefficients[k]
         bs.append(b_k)
         if b_k:
-            factor = lambda_series(lam, b_k, A.order // k).rescale(k, order=A.order)
-            residual = residual * factor.invert()
+            _check_domain(lam, b_k)  # before negating, so the error names b_k
+            residual = residual * _factor(lam, -b_k, k, A.order)
     return bs
 
 
@@ -110,7 +122,7 @@ def exp_map(B: Sequence, lam: LambdaStructure, order: int | None = None) -> Trun
         b = ring.coerce(b)
         if not b:
             continue
-        result = result * lambda_series(lam, b, order // k).rescale(k, order=order)
+        result = result * _factor(lam, b, k, order)
     return result
 
 

@@ -8,7 +8,7 @@ variables -> 1) connect them and commute with the power structures.
 
 from __future__ import annotations
 
-from .lambdas import LambdaStructure, power
+from .lambdas import LambdaStructure, exp_map, power
 from .rings import INTEGERS, Ring, SparsePolynomial
 from .series import TruncatedSeries
 
@@ -30,16 +30,13 @@ def hilb_local_surface(order: int) -> TruncatedSeries:
 
     Coefficient k is the class of the punctual Hilbert scheme of length-k
     subschemes of a surface supported at one point: a sum of L-powers
-    weighting partitions of k.
+    weighting partitions of k.  The product is Exp of sum_i L^{i-1} t^i for
+    the poly-product lambda-structure, lambda_x(t) = (1 - x*t)^{-1} for a
+    monomial x.
     """
     ring = MOTIVIC_RING
-    result = TruncatedSeries.one(ring, order)
-    for i in range(1, order + 1):
-        coeffs = [ring.zero] * (order + 1)
-        coeffs[0] = ring.one
-        coeffs[i] = ring.monomial((i - 1,), -1)
-        result = result * TruncatedSeries(ring, coeffs).invert()
-    return result
+    lam = LambdaStructure("poly-product", ring)
+    return exp_map([ring.monomial((i - 1,)) for i in range(1, order + 1)], lam, order)
 
 
 def hilb_surface(e, order: int) -> TruncatedSeries:

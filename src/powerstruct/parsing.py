@@ -130,43 +130,16 @@ class _Parser:
         raise ParseError(f"unexpected {value!r}" if value else "unexpected end of input", offset)
 
 
-def _collect_variables(node, out: set, series: bool) -> None:
+def _collect_variables(node, out: set) -> None:
+    """Every identifier but 't', which _eval refuses outside a series."""
     kind = node[0]
-    if kind == "var":
-        name = node[2]
-        if name == "t":
-            if not series:
-                raise ParseError("'t' is reserved for series", node[1])
-        else:
-            out.add(name)
-    elif kind in ("neg",):
-        _collect_variables(node[2], out, series)
+    if kind == "var" and node[2] != "t":
+        out.add(node[2])
+    elif kind == "neg":
+        _collect_variables(node[2], out)
     elif kind in ("add", "sub", "mul"):
-        _collect_variables(node[2], out, series)
-        _collect_variables(node[3], out, series)
-
-
-def _eval_poly(node, ring: Ring):
-    kind = node[0]
-    if kind == "int":
-        return ring.from_int(node[2])
-    if kind == "var":
-        _, offset, name, exp = node
-        if name == "t":
-            raise ParseError("'t' is reserved for series", offset)
-        try:
-            return ring.gen(name) ** exp
-        except UnboundVariableError:
-            raise ParseError(f"variable {name!r} is not in the ring {ring.name}", offset)
-    if kind == "neg":
-        return -_eval_poly(node[2], ring)
-    a = _eval_poly(node[2], ring)
-    b = _eval_poly(node[3], ring)
-    if kind == "add":
-        return a + b
-    if kind == "sub":
-        return a - b
-    return a * b
+        _collect_variables(node[2], out)
+        _collect_variables(node[3], out)
 
 
 def parse_polynomial(text: str, ring: Optional[Ring] = None):
@@ -180,28 +153,33 @@ def parse_polynomial(text: str, ring: Optional[Ring] = None):
     ast = _Parser(text).parse()
     if ring is None:
         names: set = set()
-        _collect_variables(ast, names, series=False)
+        _collect_variables(ast, names)
         ring = Ring(tuple(sorted(names)))
-    return _eval_poly(ast, ring)
+    return _eval(ast, ring, series=False).get(0, ring.zero)
 
 
-def _eval_series(node, ring: Ring) -> Dict[int, object]:
-    """Evaluate to a map t-degree -> ring element (no truncation yet)."""
+def _eval(node, ring: Ring, series: bool) -> Dict[int, object]:
+    """Evaluate to a map t-degree -> ring element (no truncation yet).
+
+    Outside a series 't' is refused, so every degree is 0.
+    """
     kind = node[0]
     if kind == "int":
         return {0: ring.from_int(node[2])}
     if kind == "var":
         _, offset, name, exp = node
         if name == "t":
+            if not series:
+                raise ParseError("'t' is reserved for series", offset)
             return {exp: ring.one}
         try:
             return {0: ring.gen(name) ** exp}
         except UnboundVariableError:
             raise ParseError(f"variable {name!r} is not in the ring {ring.name}", offset)
     if kind == "neg":
-        return {d: -c for d, c in _eval_series(node[2], ring).items()}
-    a = _eval_series(node[2], ring)
-    b = _eval_series(node[3], ring)
+        return {d: -c for d, c in _eval(node[2], ring, series).items()}
+    a = _eval(node[2], ring, series)
+    b = _eval(node[3], ring, series)
     out: Dict[int, object] = {}
     if kind in ("add", "sub"):
         for d, c in a.items():
@@ -233,7 +211,7 @@ def parse_series(
     if diagnostics is None:
         diagnostics = sys.stderr
     ast = _Parser(text).parse()
-    table = _eval_series(ast, ring)
+    table = _eval(ast, ring, series=True)
     coeffs = [ring.zero] * (order + 1)
     for d, c in sorted(table.items()):
         if d > order:

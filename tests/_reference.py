@@ -2,10 +2,11 @@
 
 These are the dense convolution, the dense inverse, the per-kind lambda
 series (one branch per lambda kind), the factor-by-factor Log/Exp that build
-every factor lambda_b(t^k) to the full order N before rescaling, and the
-brute-force orbit count that visits every element of every orbit.  They are
-kept only so tests can compare the fast routes against them, and they share
-no lambda code with the library.
+every factor lambda_b(t^k) to the full order N before rescaling and invert
+it for Log, the punctual Hilbert series as a product of inverted binomials,
+and the brute-force orbit count that visits every element of every orbit.
+They are kept only so tests can compare the fast routes against them, and
+they share no lambda code with the library.
 """
 
 import itertools
@@ -128,6 +129,18 @@ def full_order_power(A: TruncatedSeries, m, lam: LambdaStructure) -> TruncatedSe
     m = ring.coerce(m)
     bs = full_order_decompose(A, lam)
     return full_order_exp([m * b for b in bs], lam, A.order)
+
+
+def hand_rolled_hilb_local_surface(order: int) -> TruncatedSeries:
+    """prod_{i>=1} (1 - L^{i-1} t^i)^{-1} over Z[L], one dense inverse per factor."""
+    ring = Ring(("L",))
+    result = TruncatedSeries.one(ring, order)
+    for i in range(1, order + 1):
+        coeffs = [ring.zero] * (order + 1)
+        coeffs[0] = ring.one
+        coeffs[i] = ring.monomial((i - 1,), -1)
+        result = dense_mul(result, dense_invert(TruncatedSeries(ring, coeffs)))
+    return result
 
 
 def brute_force_profile_orbits(m_size: int, f_values: Sequence[int], blocks: Sequence[Block]) -> int:

@@ -58,6 +58,12 @@ def test_log_golden():
     )
     assert rc == 0
     assert out == "t^1: 2\nt^2: 0\nt^3: 0\nt^4: 0\n"
+    rc, out, err = run(
+        ["log", "--ring", "Z", "--lambda", "kapranov", "--order", "4",
+         "--series", "1 + 2*t + 3*t^2 + 4*t^3 + 5*t^4", "--format", "json"]
+    )
+    assert rc == 0
+    assert out == '{"ring": "Z", "order": 4, "coefficients": ["2", "0", "0", "0"]}\n'
 
 
 def test_exp_log_roundtrip():
@@ -169,10 +175,35 @@ def test_computation_error_exit_code():
     assert rc == 2
 
     rc, out, err = run(
+        ["log", "--ring", "Z[u,v]", "--lambda", "kapranov", "--order", "2",
+         "--series", "1+u*t"]
+    )
+    assert rc == 2
+    assert err == (
+        "error: kapranov lambda is defined for integer exponents only; "
+        "got u (use poly-product)\n"
+    )
+
+    rc, out, err = run(
         ["oracle", "--m-size", "5", "--target-size", "1", "--coeff-sizes", "4,4",
          "--order", "6", "--budget", "100"]
     )
     assert rc == 2
+    assert err == "error: profile {1: 2} needs 160 orbit representatives (budget 100)\n"
+
+
+def test_budget_counts_orbit_representatives():
+    # {1: 3} spans 6^3 * 3^3 = 5832 tuples of points and states, above the
+    # budget, but only perm(6, 3) * 3^3 / 3! = 540 orbit representatives
+    rc, out, err = run(
+        ["oracle", "--m-size", "6", "--target-size", "2", "--coeff-sizes", "3",
+         "--order", "4", "--budget", "2000"]
+    )
+    assert (rc, err) == (0, "")
+    assert out == (
+        "t^1: oracle=18 formula=18\nt^2: oracle=135 formula=135\n"
+        "t^3: oracle=540 formula=540\nt^4: oracle=1215 formula=1215\nverdict: agree\n"
+    )
 
 
 def test_failed_orbit_check_exit_code(monkeypatch):

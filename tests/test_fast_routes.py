@@ -105,6 +105,7 @@ def test_lambda_series_equals_the_per_kind_route(kind, ring):
             got = lambda_series(lam, a, order)
             assert got == expected
             assert got.order == order
+            assert lambda_series(lam, -a, order) * got == TruncatedSeries.one(ring, order)
     integer_only = kind in ("kapranov", "binomial") and not ring.is_integers
     assert bool(refused) == integer_only
 

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from _reference import hand_rolled_hilb_local_surface
 from powerstruct.lambdas import LambdaStructure, power
 from powerstruct.motivic import (
     HODGE_RING,
@@ -75,6 +76,13 @@ def test_hilb_local_surface_partition_numbers():
     for k, coeff in enumerate(z.coefficients):
         total = sum(c for _, c in MOTIVIC_RING.terms(coeff))
         assert total == _partition_count(k)
+
+
+def test_hilb_local_surface_equals_the_hand_rolled_product():
+    for order in range(25):
+        z = hilb_local_surface(order)
+        assert z == hand_rolled_hilb_local_surface(order)
+        assert z.order == order
 
 
 def test_hilb_surface_point():
