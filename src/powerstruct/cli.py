@@ -13,7 +13,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import List, Optional, Sequence
+from typing import Optional, Sequence
 
 from .finite_model import (
     BudgetExceededError,
@@ -21,6 +21,7 @@ from .finite_model import (
     EquivalenceCheckError,
     FiniteMap,
     FiniteSeriesCheckError,
+    check_budget,
     geometric_power_coefficient,
 )
 from .kernels import OrbitCheckError
@@ -177,11 +178,11 @@ def _cmd_oracle(args, out) -> int:
         INTEGERS, [1] + sizes + [0] * max(0, args.order - len(sizes))
     ).truncate(args.order)
     formula = integer_power_formula(series, args.m_size)
-    oracle_values: List[int] = []
-    for k in range(1, args.order + 1):
-        oracle_values.append(
-            geometric_power_coefficient(exponent, coeffs, k, budget=args.budget)
-        )
+    check_budget(exponent, coeffs, args.order, args.budget)
+    oracle_values = [
+        geometric_power_coefficient(exponent, coeffs, k, budget=args.budget)
+        for k in range(1, args.order + 1)
+    ]
     formula_values = [formula.coefficients[k] for k in range(1, args.order + 1)]
     verdict = "agree" if oracle_values == formula_values else "disagree"
     if args.format == "json":

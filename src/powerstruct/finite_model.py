@@ -208,32 +208,18 @@ def particle_configuration_count(m_size: int, coeff_sizes: Sequence[int], k: int
     return ways[k]
 
 
-def geometric_power_coefficient(
-    exponent: FiniteMap,
-    coeffs: Sequence[FiniteMap],
-    k: int,
-    budget: int = DEFAULT_BUDGET,
-) -> int:
-    """Coefficient of t^k of (1 + [X_1]t + [X_2]t^2 + ...)^[M -> N], by enumeration.
+def _profile_blocks(m_size: int, coeffs: Sequence[FiniteMap], k: int, budget: int):
+    """(profile, kernel blocks) for every charge profile of t^k that can add orbits.
 
-    Sums orbit counts over all charge profiles {k_i} with sum i*k_i = k.  The
-    kernel, kernels.count_profile_orbits, visits one representative per orbit;
-    it checks the well-definedness of the induced orbit map on every
-    representative and the free action once per profile (orbit-stabiliser
-    identity).  This function refuses, before enumerating, a profile whose
-    perm(m, s) * prod |X_i|^{k_i} / prod k_i! orbit representatives exceed
-    the budget, rejects a negative orbit count and cross-checks the total
-    against the particle-configuration count.  Every failed check raises
-    kernels.OrbitCheckError.
+    A profile needs a nonempty coefficient set for each charge, so no part
+    exceeds len(coeffs), and distinct points, so it has at most m_size
+    parts.  Every profile is checked against the budget before the list is
+    returned, so an over-budget profile is refused before any enumeration.
     """
     if k < 1:
         raise ValueError("k must be positive")
-    m_size = exponent.source_size
-    total = 0
-    for profile in charge_profiles(k):
-        sizes_ok = all(i <= len(coeffs) for i in profile)
-        if not sizes_ok:
-            continue  # that coefficient is the empty set; the summand is 0
+    plan = []
+    for profile in charge_profiles(k, len(coeffs), m_size):
         reps = math.perm(m_size, sum(profile.values()))
         blocks = []
         for i, k_i in sorted(profile.items()):
@@ -245,6 +231,40 @@ def geometric_power_coefficient(
                 f"profile {dict(sorted(profile.items()))} needs {reps} orbit "
                 f"representatives (budget {budget})"
             )
+        plan.append((profile, blocks))
+    return plan
+
+
+def check_budget(
+    exponent: FiniteMap, coeffs: Sequence[FiniteMap], order: int, budget: int = DEFAULT_BUDGET
+) -> None:
+    """Refuse a run over t^1..t^order in which one charge profile needs more
+    than `budget` orbit representatives, before anything is enumerated."""
+    for k in range(1, order + 1):
+        _profile_blocks(exponent.source_size, coeffs, k, budget)
+
+
+def geometric_power_coefficient(
+    exponent: FiniteMap,
+    coeffs: Sequence[FiniteMap],
+    k: int,
+    budget: int = DEFAULT_BUDGET,
+) -> int:
+    """Coefficient of t^k of (1 + [X_1]t + [X_2]t^2 + ...)^[M -> N], by enumeration.
+
+    Sums orbit counts over the charge profiles {k_i} with sum i*k_i = k.  The
+    kernel, kernels.count_profile_orbits, visits one representative per orbit;
+    it checks the well-definedness of the induced orbit map on every
+    representative and the free action once per profile (orbit-stabiliser
+    identity).  This function refuses, before enumerating any profile, one
+    whose perm(m, s) * prod |X_i|^{k_i} / prod k_i! orbit representatives
+    exceed the budget, rejects a negative orbit count and cross-checks the total
+    against the particle-configuration count.  Every failed check raises
+    kernels.OrbitCheckError.
+    """
+    m_size = exponent.source_size
+    total = 0
+    for profile, blocks in _profile_blocks(m_size, coeffs, k, budget):
         orbits = kernels.count_profile_orbits(m_size, exponent.values, blocks)
         if orbits < 0:
             raise kernels.OrbitCheckError(

@@ -97,6 +97,8 @@ def decompose_product(A: TruncatedSeries, lam: LambdaStructure) -> List:
     the inverse of prod_{i<k} lambda_{b_i}(t^i), the residual is
     1 + b_k t^k + O(t^{k+1}).
     """
+    if A.ring != lam.ring:
+        raise ValueError(f"series over {A.ring.name}, lambda over {lam.ring.name}")
     if not A.is_unit():
         raise NonUnitError("only series with constant term 1 decompose")
     residual = A
@@ -110,11 +112,9 @@ def decompose_product(A: TruncatedSeries, lam: LambdaStructure) -> List:
     return bs
 
 
-def exp_map(B: Sequence, lam: LambdaStructure, order: int | None = None) -> TruncatedSeries:
-    """Exp(b_1 t + b_2 t^2 + ...) = prod_k lambda_{b_k}(t^k)."""
+def exp_map(B: Sequence, lam: LambdaStructure, order: int) -> TruncatedSeries:
+    """Exp(b_1 t + b_2 t^2 + ...) = prod_k lambda_{b_k}(t^k), truncated at `order`."""
     ring = lam.ring
-    if order is None:
-        order = len(B)
     result = TruncatedSeries.one(ring, order)
     for k, b in enumerate(B, start=1):
         if k > order:
@@ -133,10 +133,7 @@ def log_map(A: TruncatedSeries, lam: LambdaStructure) -> List:
 
 def power(A: TruncatedSeries, m, lam: LambdaStructure) -> TruncatedSeries:
     """(A(t))^m = prod_i lambda_{m*b_i}(t^i) where A = prod_i lambda_{b_i}(t^i)."""
-    ring = lam.ring
-    if A.ring != ring:
-        raise ValueError(f"series over {A.ring.name}, lambda over {ring.name}")
-    m = ring.coerce(m)
+    m = lam.ring.coerce(m)
     bs = decompose_product(A, lam)
     return exp_map([m * b for b in bs], lam, A.order)
 
@@ -144,27 +141,36 @@ def power(A: TruncatedSeries, m, lam: LambdaStructure) -> TruncatedSeries:
 # -- charge profiles and the closed-form integer power ----------------------
 
 
-def charge_profiles(k: int) -> Iterator[Dict[int, int]]:
-    """All partitions of k as multiplicity maps {charge i -> count k_i}.
+def charge_profiles(
+    k: int, max_part: int | None = None, max_parts: int | None = None
+) -> Iterator[Dict[int, int]]:
+    """Partitions of k as multiplicity maps {charge i -> count k_i}.
 
-    Deterministic (lexicographic in the descending-part representation) so
-    summation order is reproducible.
+    Only partitions with every part at most `max_part` and at most
+    `max_parts` parts are yielded (no bound when None); a branch that cannot
+    meet the bounds is cut before it is explored.  Deterministic
+    (lexicographic in the descending-part representation) so summation order
+    is reproducible.
     """
     if k < 0:
         raise ValueError("k must be nonnegative")
 
-    def rec(remaining: int, max_part: int, acc: Dict[int, int]):
+    def rec(remaining: int, largest: int, parts_left: int, acc: Dict[int, int]):
         if remaining == 0:
             yield dict(acc)
             return
-        for part in range(min(remaining, max_part), 0, -1):
+        if remaining > largest * parts_left:
+            return
+        for part in range(min(remaining, largest), 0, -1):
             acc[part] = acc.get(part, 0) + 1
-            yield from rec(remaining - part, part, acc)
+            yield from rec(remaining - part, part, parts_left - 1, acc)
             acc[part] -= 1
             if not acc[part]:
                 del acc[part]
 
-    yield from rec(k, k, {})
+    yield from rec(
+        k, k if max_part is None else max_part, k if max_parts is None else max_parts, {}
+    )
 
 
 def generalized_binomial(m: int, s: int) -> int:
@@ -189,10 +195,13 @@ def integer_power_formula(A: TruncatedSeries, m: int) -> TruncatedSeries:
     if not isinstance(m, int) or isinstance(m, bool):
         raise TypeError("the exponent of integer_power_formula must be an int")
     ring = A.ring
+    # a profile with a part i where a_i = 0, or with s > m >= 0 parts, adds 0
+    max_part = max((i for i, a in enumerate(A.coefficients) if i and a), default=0)
+    max_parts = m if m >= 0 else None
     out = [ring.one] + [ring.zero] * A.order
     for k in range(1, A.order + 1):
         acc = ring.zero
-        for profile in charge_profiles(k):
+        for profile in charge_profiles(k, max_part, max_parts):
             s = sum(profile.values())
             factor = generalized_binomial(m, s) * math.factorial(s)
             term = None

@@ -1,5 +1,10 @@
 """Expression parsing for polynomials and truncated series.
 
+One recursive descent over the token list parses and evaluates at once,
+returning a map t-degree -> ring element.  Errors come in a fixed order:
+an unknown character first, then the first syntax error, then the first
+name outside the ring (or 't' outside a series), each at its byte offset.
+
 Grammar (whitespace-insensitive; offsets in error messages are byte offsets):
 
     expr   := ['-'] term (('+' | '-') term)*
@@ -54,146 +59,104 @@ def _tokenize(text: str) -> List[Tuple[str, str, int]]:
     return tokens
 
 
-class _Parser:
-    """Recursive-descent parser producing a small AST with source offsets."""
+def _evaluate(tokens: List[Tuple[str, str, int]], ring: Ring, series: bool) -> Dict[int, object]:
+    """Parse and evaluate in one pass to a map t-degree -> ring element.
 
-    def __init__(self, text: str):
-        self.text = text
-        self.tokens = _tokenize(text)
-        self.pos = 0
+    No truncation happens here.  Outside a series 't' is refused, so every
+    degree is 0.  A name outside the ring, or 't' outside a series, is kept
+    until the whole text has parsed, so any syntax error is raised first.
+    """
+    pos = 0
+    name_errors: List[ParseError] = []
 
-    def peek(self) -> Tuple[str, str, int]:
-        return self.tokens[self.pos]
+    def take(ops: str) -> Optional[str]:
+        """Consume the next token if it is one of the operators in `ops`."""
+        nonlocal pos
+        kind, value, _ = tokens[pos]
+        if kind == "op" and value in ops:
+            pos += 1
+            return value
+        return None
 
-    def advance(self) -> Tuple[str, str, int]:
-        tok = self.tokens[self.pos]
-        self.pos += 1
-        return tok
-
-    def expect_op(self, op: str) -> None:
-        kind, value, offset = self.peek()
-        if kind != "op" or value != op:
-            raise ParseError(f"expected {op!r}", offset)
-        self.advance()
-
-    def parse(self):
-        node = self.expr()
-        kind, value, offset = self.peek()
-        if kind != "end":
-            raise ParseError(f"unexpected {value!r}", offset)
-        return node
-
-    def expr(self):
-        kind, value, offset = self.peek()
-        if kind == "op" and value == "-":
-            self.advance()
-            node = ("neg", offset, self.term())
-        else:
-            node = self.term()
+    def expr() -> Dict[int, object]:
+        negate = take("-")
+        out = term()
+        if negate:
+            out = {d: -c for d, c in out.items()}
         while True:
-            kind, value, offset = self.peek()
-            if kind == "op" and value in "+-":
-                self.advance()
-                rhs = self.term()
-                node = ("add" if value == "+" else "sub", offset, node, rhs)
-            else:
-                return node
+            op = take("+-")
+            if op is None:
+                return out
+            for d, c in term().items():
+                c = -c if op == "-" else c
+                out[d] = out[d] + c if d in out else c
+            out = {d: c for d, c in out.items() if c}
 
-    def term(self):
-        node = self.factor()
-        while True:
-            kind, value, offset = self.peek()
-            if kind == "op" and value == "*":
-                self.advance()
-                node = ("mul", offset, node, self.factor())
-            else:
-                return node
+    def term() -> Dict[int, object]:
+        out = factor()
+        while take("*"):
+            a, b, out = out, factor(), {}
+            for d1, c1 in a.items():
+                for d2, c2 in b.items():
+                    d = d1 + d2
+                    p = c1 * c2
+                    out[d] = out[d] + p if d in out else p
+            out = {d: c for d, c in out.items() if c}
+        return out
 
-    def factor(self):
-        kind, value, offset = self.advance()
+    def factor() -> Dict[int, object]:
+        nonlocal pos
+        kind, value, offset = tokens[pos]
+        pos += 1
         if kind == "int":
-            return ("int", offset, int(value))
+            return {0: ring.from_int(int(value))}
         if kind == "ident":
             exp = 1
-            k2, v2, _ = self.peek()
-            if k2 == "op" and v2 == "^":
-                self.advance()
-                k3, v3, o3 = self.advance()
-                if k3 != "int":
-                    raise ParseError("expected a nonnegative integer exponent", o3)
-                exp = int(v3)
-            return ("var", offset, value, exp)
+            if take("^"):
+                k2, v2, o2 = tokens[pos]
+                pos += 1
+                if k2 != "int":
+                    raise ParseError("expected a nonnegative integer exponent", o2)
+                exp = int(v2)
+            if value == "t":
+                if series:
+                    return {exp: ring.one}
+                name_errors.append(ParseError("'t' is reserved for series", offset))
+                return {}
+            try:
+                return {0: ring.gen(value) ** exp}
+            except UnboundVariableError:
+                message = f"variable {value!r} is not in the ring {ring.name}"
+                name_errors.append(ParseError(message, offset))
+                return {}
         if kind == "op" and value == "(":
-            node = self.expr()
-            self.expect_op(")")
-            return node
+            out = expr()
+            if not take(")"):
+                raise ParseError("expected ')'", tokens[pos][2])
+            return out
         raise ParseError(f"unexpected {value!r}" if value else "unexpected end of input", offset)
 
-
-def _collect_variables(node, out: set) -> None:
-    """Every identifier but 't', which _eval refuses outside a series."""
-    kind = node[0]
-    if kind == "var" and node[2] != "t":
-        out.add(node[2])
-    elif kind == "neg":
-        _collect_variables(node[2], out)
-    elif kind in ("add", "sub", "mul"):
-        _collect_variables(node[2], out)
-        _collect_variables(node[3], out)
+    out = expr()
+    kind, value, offset = tokens[pos]
+    if kind != "end":
+        raise ParseError(f"unexpected {value!r}", offset)
+    if name_errors:
+        raise name_errors[0]
+    return out
 
 
 def parse_polynomial(text: str, ring: Optional[Ring] = None):
     """Parse a polynomial expression; the ring is inferred when not given.
 
-    Inference collects the identifiers used and sorts them alphabetically;
-    a variable-free expression lands in Z.
+    Inference collects the identifiers used but 't' and sorts them
+    alphabetically; a variable-free expression lands in Z.
     """
     if not text.strip():
         raise ParseError("empty expression", 0)
-    ast = _Parser(text).parse()
+    tokens = _tokenize(text)
     if ring is None:
-        names: set = set()
-        _collect_variables(ast, names)
-        ring = Ring(tuple(sorted(names)))
-    return _eval(ast, ring, series=False).get(0, ring.zero)
-
-
-def _eval(node, ring: Ring, series: bool) -> Dict[int, object]:
-    """Evaluate to a map t-degree -> ring element (no truncation yet).
-
-    Outside a series 't' is refused, so every degree is 0.
-    """
-    kind = node[0]
-    if kind == "int":
-        return {0: ring.from_int(node[2])}
-    if kind == "var":
-        _, offset, name, exp = node
-        if name == "t":
-            if not series:
-                raise ParseError("'t' is reserved for series", offset)
-            return {exp: ring.one}
-        try:
-            return {0: ring.gen(name) ** exp}
-        except UnboundVariableError:
-            raise ParseError(f"variable {name!r} is not in the ring {ring.name}", offset)
-    if kind == "neg":
-        return {d: -c for d, c in _eval(node[2], ring, series).items()}
-    a = _eval(node[2], ring, series)
-    b = _eval(node[3], ring, series)
-    out: Dict[int, object] = {}
-    if kind in ("add", "sub"):
-        for d, c in a.items():
-            out[d] = c
-        for d, c in b.items():
-            c = -c if kind == "sub" else c
-            out[d] = out[d] + c if d in out else c
-    else:  # mul
-        for d1, c1 in a.items():
-            for d2, c2 in b.items():
-                d = d1 + d2
-                p = c1 * c2
-                out[d] = out[d] + p if d in out else p
-    return {d: c for d, c in out.items() if c}
+        ring = Ring(sorted({v for kind, v, _ in tokens if kind == "ident" and v != "t"}))
+    return _evaluate(tokens, ring, series=False).get(0, ring.zero)
 
 
 def parse_series(
@@ -210,8 +173,7 @@ def parse_series(
         raise ValueError(f"order must be nonnegative, got {order}")
     if diagnostics is None:
         diagnostics = sys.stderr
-    ast = _Parser(text).parse()
-    table = _eval(ast, ring, series=True)
+    table = _evaluate(_tokenize(text), ring, series=True)
     coeffs = [ring.zero] * (order + 1)
     for d, c in sorted(table.items()):
         if d > order:

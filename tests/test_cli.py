@@ -216,6 +216,45 @@ def test_failed_orbit_check_exit_code(monkeypatch):
     assert err == "error: profile {1: 1} has -1 orbits\n"
 
 
+def counting_kernel(monkeypatch):
+    calls = []
+    real = kernels.count_profile_orbits
+
+    def count(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(kernels, "count_profile_orbits", count)
+    return calls
+
+
+def test_over_budget_run_is_refused_before_any_enumeration(monkeypatch):
+    # every profile up to t^8 fits the budget; the first too large is at t^9
+    calls = counting_kernel(monkeypatch)
+    rc, out, err = run(
+        ["oracle", "--m-size", "9", "--target-size", "1", "--coeff-sizes",
+         "2,2,2,2,2,2,2,2,2", "--order", "9", "--budget", "100000"]
+    )
+    assert (rc, out, len(calls)) == (2, "", 0)
+    assert err == (
+        "error: profile {1: 2, 2: 2, 3: 1} needs 120960 orbit representatives "
+        "(budget 100000)\n"
+    )
+
+
+def test_oracle_enumerates_only_profiles_that_can_contribute(monkeypatch):
+    # (1 + t)^2: only {1: 1} and {1: 2} have at most two parts, all of charge 1
+    calls = counting_kernel(monkeypatch)
+    rc, out, err = run(
+        ["oracle", "--m-size", "2", "--target-size", "1", "--coeff-sizes", "1",
+         "--order", "60"]
+    )
+    assert (rc, err, len(calls)) == (0, "", 2)
+    lines = out.splitlines()
+    assert lines[:3] == ["t^1: oracle=2 formula=2", "t^2: oracle=1 formula=1", "t^3: oracle=0 formula=0"]
+    assert lines[60:] == ["verdict: agree"]
+
+
 @pytest.mark.parametrize("module", ["powerstruct", "powerstruct.cli"])
 def test_python_m_runs_the_cli(module):
     src = str(Path(powerstruct.__file__).resolve().parent.parent)

@@ -177,6 +177,18 @@ def test_poly_product_and_opposite_disagree():
     assert pp != opp
 
 
+def test_log_and_power_refuse_a_ring_mismatch_alike():
+    for series_ring, lam in [(INTEGERS, PP_UV), (UV, KAP_Z)]:
+        A = TruncatedSeries.geometric(series_ring, 3)
+        with pytest.raises(ValueError) as from_log:
+            log_map(A, lam)
+        with pytest.raises(ValueError) as from_power:
+            power(A, 2, lam)
+        expected = f"series over {series_ring.name}, lambda over {lam.ring.name}"
+        for exc in (from_log, from_power):
+            assert (exc.type, str(exc.value)) == (ValueError, expected)
+
+
 # -- integer power formula ----------------------------------------------------
 
 
@@ -190,6 +202,20 @@ def test_charge_profiles():
         ((1, 4),),
     }
     assert list(charge_profiles(0)) == [{}]
+
+
+def test_bounded_charge_profiles_are_the_filtered_unbounded_ones():
+    for k in range(21):
+        every = list(charge_profiles(k))
+        bounds = [None, *sorted({0, 1, 2, 3, k // 2, max(k - 1, 0), k, k + 1})]
+        for max_part in bounds:
+            for max_parts in bounds:
+                expected = [
+                    p for p in every
+                    if (max_part is None or max(p, default=0) <= max_part)
+                    and (max_parts is None or sum(p.values()) <= max_parts)
+                ]
+                assert list(charge_profiles(k, max_part, max_parts)) == expected
 
 
 def test_generalized_binomial():

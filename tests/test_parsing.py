@@ -1,7 +1,10 @@
+import io
 import random
+import re
 
 import pytest
 
+import _reference
 from _gen import random_element
 from powerstruct.parsing import ParseError, parse_polynomial, parse_ring, parse_series
 from powerstruct.rings import INTEGERS, Ring, SparsePolynomial
@@ -47,6 +50,17 @@ def test_parse_error_unbound_variable():
     ring = parse_ring("Z[u,v]")
     with pytest.raises(ParseError):
         parse_polynomial("1 + w", ring)
+
+
+def test_syntax_error_wins_over_an_earlier_name_error():
+    with pytest.raises(ParseError) as exc:
+        parse_polynomial("w + + u", parse_ring("Z[u,v]"))
+    assert str(exc.value) == "unexpected '+' at offset 4"
+
+
+def test_long_sums_parse_without_deep_recursion():
+    ring = parse_ring("Z[u,v]")
+    assert parse_polynomial(" + ".join(["u"] * 5000), ring) == ring.from_int(5000) * ring.gen("u")
 
 
 def test_t_reserved_in_polynomial_context():
@@ -97,3 +111,82 @@ def test_format_parse_roundtrip_series():
             s = TruncatedSeries(ring, coeffs)
             back = parse_series(str(s), ring, 5)
             assert back == s, str(s)
+
+
+_ATOMS = ["0", "1", "2", "7", "12", "300", "u", "v", "w", "L", "a", "b", "c", "t", "x1"]
+_OPS = ["+", "-", "*", "^", "(", ")"]
+_STRAY = ["$", ".", "/", "é", "\t"]
+_CONTEXTS = [None, "Z", "Z[u,v]", "Z[L]", "Z[a,b,c]"]
+
+
+def _random_expr(rng, depth):
+    """A syntactically valid expression; its names may lie outside the ring."""
+    roll = rng.random()
+    if depth == 0 or roll < 0.3:
+        atom = rng.choice(_ATOMS)
+        if atom[0].isalpha() and rng.random() < 0.3:
+            atom += "^" + rng.choice(["0", "1", "2", "3"])
+        return atom
+    if roll < 0.45:
+        return "(" + _random_expr(rng, depth - 1) + ")"
+    if roll < 0.55:
+        return "-" + _random_expr(rng, depth - 1)
+    op = rng.choice(["+", "-", "*", "*"])
+    return _random_expr(rng, depth - 1) + op + _random_expr(rng, depth - 1)
+
+
+def _random_text(rng):
+    """Valid expressions, the same with one token changed, and token soup."""
+    if rng.random() < 0.15:
+        pieces = rng.choices(_ATOMS + _OPS + _STRAY[:1], k=rng.randint(0, 8))
+    else:
+        pieces = [tok for tok in re.split(r"([-+*^()])", _random_expr(rng, 4)) if tok]
+        if rng.random() < 0.5:
+            at = rng.randrange(len(pieces) + 1)
+            edit = rng.choice(["drop", "insert", "replace"])
+            new = [rng.choice(_ATOMS + _OPS + _STRAY)]
+            if edit == "insert" or not pieces:
+                pieces[at:at] = new
+            else:
+                at = min(at, len(pieces) - 1)
+                pieces[at : at + 1] = [] if edit == "drop" else new
+    return "".join(piece + rng.choice(["", "", " "]) for piece in pieces)
+
+
+def _outcome(parse, *args, **kwargs):
+    diagnostics = io.StringIO()
+    if "order" in kwargs:
+        kwargs["diagnostics"] = diagnostics
+    try:
+        value = parse(*args, **kwargs)
+    except Exception as exc:  # any exception is part of the behaviour compared
+        return "raised", type(exc), str(exc)
+    return "value", repr(value), diagnostics.getvalue()
+
+
+def test_one_pass_parser_matches_the_two_stage_reference():
+    rng = random.Random(2024)
+    seen = []
+    for case in range(20000):
+        text = _random_text(rng)
+        ring_name = _CONTEXTS[case % len(_CONTEXTS)]
+        ring = None if ring_name is None else parse_ring(ring_name)
+        new = _outcome(parse_polynomial, text, ring)
+        assert new == _outcome(_reference.two_stage_parse_polynomial, text, ring), (text, ring_name)
+        seen.append(new)
+        ring = ring or INTEGERS
+        order = rng.randint(-1, 6)
+        new = _outcome(parse_series, text, ring, order=order)
+        old = _outcome(_reference.two_stage_parse_series, text, ring, order=order)
+        assert new == old, (text, ring_name, order)
+        seen.append(new)
+    # the inputs reach values, truncation warnings and every error message
+    assert any(kind == "value" and not warned for kind, _, warned in seen)
+    assert any(kind == "value" and "discarded" in warned for kind, _, warned in seen)
+    messages = " | ".join(message for kind, _, message in seen if kind == "raised")
+    for message in [
+        "empty expression", "unknown character", "unexpected '", "unexpected end of input",
+        "expected ')'", "nonnegative integer exponent", "'t' is reserved for series",
+        "is not in the ring", "order must be nonnegative",
+    ]:
+        assert message in messages, message
