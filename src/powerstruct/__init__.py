@@ -36,7 +36,7 @@ from .lambdas import (
 )
 from .motivic import hilb_local_surface, hilb_surface, hodge_zeta, specialize_series
 from .parsing import ParseError, parse_polynomial, parse_ring, parse_series
-from .rings import INTEGERS, Ring, SparsePolynomial
+from .rings import INTEGERS, DegreeOverflowError, Ring, SparsePolynomial
 from .series import NonUnitError, TruncatedSeries
 
 __version__ = "0.1.0"

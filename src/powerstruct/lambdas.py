@@ -22,7 +22,7 @@ sum over charge profiles) is implemented independently as a cross-check.
 from __future__ import annotations
 
 import math
-from typing import Dict, Iterator, List, Sequence
+from typing import Dict, Iterable, Iterator, List, Sequence
 
 from .rings import Ring
 from .series import NonUnitError, TruncatedSeries
@@ -51,15 +51,15 @@ class LambdaStructure:
         return f"LambdaStructure({self.kind}, {self.ring.name})"
 
 
-def _one_minus_xt_power(ring: Ring, x, e: int, order: int) -> TruncatedSeries:
-    """(1 - x*t)^e truncated, for any integer e: coefficient j is
-    (-1)^j * binom(e, j) * x^j."""
-    coeffs = [ring.one]
-    xpow = ring.one
+def _one_minus_xt_power(ring: Ring, exps, c: int, e: int, order: int) -> TruncatedSeries:
+    """(1 - c*x*t)^e truncated, for the monomial x with exponents `exps`, an
+    integer c and any integer e: coefficient j is the single monomial
+    (-c)^j * binom(e, j) * x^j."""
+    coeffs = [1]
     for j in range(1, order + 1):
-        xpow = xpow * x
-        coeffs.append(ring.from_int((-1) ** j * generalized_binomial(e, j)) * xpow)
-    return TruncatedSeries(ring, coeffs)
+        # (-c)^j binom(e, j) = (-c)^(j-1) binom(e, j-1) * (-c)(e-j+1) / j, exactly
+        coeffs.append(coeffs[-1] * -c * (e - j + 1) // j)
+    return TruncatedSeries._raw(ring, ring.monomial_powers(exps, coeffs))
 
 
 def _check_domain(lam: LambdaStructure, a) -> None:
@@ -80,7 +80,7 @@ def lambda_series(lam: LambdaStructure, a, order: int) -> TruncatedSeries:
     sign = _SIGN[lam.kind]
     result = None
     for exps, p in ring.terms(a):
-        factor = _one_minus_xt_power(ring, ring.monomial(exps, sign), -sign * p, order)
+        factor = _one_minus_xt_power(ring, exps, sign, -sign * p, order)
         result = factor if result is None else result * factor
     return TruncatedSeries.one(ring, order) if result is None else result
 
@@ -142,18 +142,28 @@ def power(A: TruncatedSeries, m, lam: LambdaStructure) -> TruncatedSeries:
 
 
 def charge_profiles(
-    k: int, max_part: int | None = None, max_parts: int | None = None
+    k: int,
+    max_part: int | None = None,
+    max_parts: int | None = None,
+    parts: Iterable[int] | None = None,
 ) -> Iterator[Dict[int, int]]:
     """Partitions of k as multiplicity maps {charge i -> count k_i}.
 
-    Only partitions with every part at most `max_part` and at most
-    `max_parts` parts are yielded (no bound when None); a branch that cannot
-    meet the bounds is cut before it is explored.  Deterministic
-    (lexicographic in the descending-part representation) so summation order
-    is reproducible.
+    Only partitions with every part at most `max_part`, at most `max_parts`
+    parts and (when given) every part in `parts` are yielded (no bound when
+    None); a branch that cannot meet the bounds is cut before it is
+    explored.  Deterministic (lexicographic in the descending-part
+    representation) so summation order is reproducible.
     """
     if k < 0:
         raise ValueError("k must be nonnegative")
+    top = k if max_part is None else min(k, max_part)
+    allowed = sorted(
+        {p for p in (range(1, top + 1) if parts is None else parts) if 1 <= p <= top},
+        reverse=True,
+    )
+    # the allowed parts at most r, largest first, for each bound r
+    below = [[p for p in allowed if p <= r] for r in range(top + 1)]
 
     def rec(remaining: int, largest: int, parts_left: int, acc: Dict[int, int]):
         if remaining == 0:
@@ -161,16 +171,14 @@ def charge_profiles(
             return
         if remaining > largest * parts_left:
             return
-        for part in range(min(remaining, largest), 0, -1):
+        for part in below[min(remaining, largest)]:
             acc[part] = acc.get(part, 0) + 1
             yield from rec(remaining - part, part, parts_left - 1, acc)
             acc[part] -= 1
             if not acc[part]:
                 del acc[part]
 
-    yield from rec(
-        k, k if max_part is None else max_part, k if max_parts is None else max_parts, {}
-    )
+    yield from rec(k, top, k if max_parts is None else max_parts, {})
 
 
 def generalized_binomial(m: int, s: int) -> int:
@@ -196,26 +204,19 @@ def integer_power_formula(A: TruncatedSeries, m: int) -> TruncatedSeries:
         raise TypeError("the exponent of integer_power_formula must be an int")
     ring = A.ring
     # a profile with a part i where a_i = 0, or with s > m >= 0 parts, adds 0
-    max_part = max((i for i, a in enumerate(A.coefficients) if i and a), default=0)
+    parts = [i for i, a in enumerate(A.coefficients) if i and a]
     max_parts = m if m >= 0 else None
     out = [ring.one] + [ring.zero] * A.order
     for k in range(1, A.order + 1):
         acc = ring.zero
-        for profile in charge_profiles(k, max_part, max_parts):
+        for profile in charge_profiles(k, max_parts=max_parts, parts=parts):
             s = sum(profile.values())
             factor = generalized_binomial(m, s) * math.factorial(s)
             term = None
-            skip = False
             for i, k_i in sorted(profile.items()):
                 factor //= math.factorial(k_i)
-                a_i = A.coefficients[i]
-                if not a_i:
-                    skip = True
-                    break
-                p = a_i**k_i
+                p = A.coefficients[i] ** k_i
                 term = p if term is None else term * p
-            if skip or factor == 0:
-                continue
             acc = acc + ring.from_int(factor) * term
         out[k] = acc
     return TruncatedSeries(ring, out)

@@ -12,9 +12,21 @@ function, so everything here is safe for unrestricted concurrent reads.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Iterator, Mapping, Tuple
+from collections.abc import ItemsView, Mapping
+from functools import lru_cache, reduce
+from operator import or_
+from typing import Dict, Iterable, Iterator, Sequence, Tuple
 
 ExponentVector = Tuple[int, ...]
+
+# A monomial's exponent vector is stored as one int: variable i owns bits
+# [SLOT_BITS*i, SLOT_BITS*(i+1)).  The top bit of each slot is a guard, so an
+# exponent is at most MAX_EXPONENT, and the sum of two packed keys is the
+# packed key of the product with no carry between slots; a set guard bit
+# marks a product whose degree in that variable overflowed.
+SLOT_BITS = 32
+MAX_EXPONENT = (1 << (SLOT_BITS - 1)) - 1
+_SLOT_MASK = (1 << SLOT_BITS) - 1
 
 
 class ArityError(ValueError):
@@ -25,10 +37,99 @@ class UnboundVariableError(KeyError):
     """A substitution did not bind every variable of the polynomial."""
 
 
+class DegreeOverflowError(ValueError):
+    """An exponent of some variable exceeds MAX_EXPONENT."""
+
+    def __init__(self, variable: str, exponent: int):
+        super().__init__(
+            f"exponent {exponent} of variable {variable} exceeds the limit {MAX_EXPONENT}"
+        )
+        self.variable = variable
+        self.exponent = exponent
+
+
+@lru_cache(maxsize=None)
+def _guards(arity: int) -> int:
+    return sum(1 << (SLOT_BITS * i + SLOT_BITS - 1) for i in range(arity))
+
+
+def _unpack(key: int, arity: int) -> ExponentVector:
+    return tuple((key >> (SLOT_BITS * i)) & _SLOT_MASK for i in range(arity))
+
+
+def _pack(variables: Tuple[str, ...], exps: ExponentVector) -> int:
+    """The packed key of an exponent vector, checked against the ring."""
+    if len(exps) != len(variables):
+        raise ArityError(
+            f"exponent vector {exps} has arity {len(exps)}, expected {len(variables)}"
+        )
+    key = 0
+    for i, e in enumerate(exps):
+        if e < 0:
+            raise ValueError(f"negative exponent in {exps}")
+        if e > MAX_EXPONENT:
+            raise DegreeOverflowError(variables[i], e)
+        key |= e << (SLOT_BITS * i)
+    return key
+
+
+def _check_degrees(variables: Tuple[str, ...], terms: Dict[int, int]) -> None:
+    """Raise DegreeOverflowError if a sum of packed keys set a guard bit."""
+    if reduce(or_, terms, 0) & _guards(len(variables)):
+        for key in terms:
+            for v, e in zip(variables, _unpack(key, len(variables))):
+                if e > MAX_EXPONENT:
+                    raise DegreeOverflowError(v, e)
+
+
 def _grlex_key(exps: ExponentVector):
     # Graded lexicographic: ascending total degree, then descending lex
     # within a degree (so u^2 prints before u*v before v^2).
     return (sum(exps), tuple(-e for e in exps))
+
+
+class _TermItems(ItemsView):
+    def __iter__(self):
+        arity = len(self._mapping._variables)
+        for key, coeff in self._mapping._packed.items():
+            yield _unpack(key, arity), coeff
+
+
+class TermMap(Mapping):
+    """Read-only view of a polynomial's terms keyed by exponent tuples.
+
+    `len` and `values` read the packed term map directly; iteration and
+    lookup convert between exponent tuples and packed keys.
+    """
+
+    __slots__ = ("_packed", "_variables")
+
+    def __init__(self, packed: Dict[int, int], variables: Tuple[str, ...]):
+        self._packed = packed
+        self._variables = variables
+
+    def __getitem__(self, exps) -> int:
+        try:
+            key = _pack(self._variables, tuple(exps))
+        except (TypeError, ValueError):
+            raise KeyError(exps) from None
+        return self._packed[key]
+
+    def __iter__(self) -> Iterator[ExponentVector]:
+        arity = len(self._variables)
+        return (_unpack(key, arity) for key in self._packed)
+
+    def __len__(self) -> int:
+        return len(self._packed)
+
+    def values(self):
+        return self._packed.values()
+
+    def items(self):
+        return _TermItems(self)
+
+    def __repr__(self) -> str:
+        return repr(dict(self.items()))
 
 
 class SparsePolynomial:
@@ -37,48 +138,49 @@ class SparsePolynomial:
     `terms` maps exponent vectors to nonzero integer coefficients; the zero
     polynomial has an empty term map.  Normalization (dropping zero
     coefficients) happens on construction, so equality of polynomials is
-    equality of term maps.
+    equality of term maps.  Internally each exponent vector is one packed
+    int key (see SLOT_BITS); an exponent above MAX_EXPONENT, given or
+    produced by a product, raises DegreeOverflowError.
     """
 
-    __slots__ = ("variables", "terms", "_hash")
+    __slots__ = ("variables", "_terms", "_hash")
 
     def __init__(self, variables: Iterable[str], terms: Mapping[ExponentVector, int]):
         variables = tuple(variables)
-        arity = len(variables)
-        normalized: Dict[ExponentVector, int] = {}
+        normalized: Dict[int, int] = {}
         for exps, coeff in terms.items():
-            exps = tuple(exps)
-            if len(exps) != arity:
-                raise ArityError(
-                    f"exponent vector {exps} has arity {len(exps)}, expected {arity}"
-                )
-            if any(e < 0 for e in exps):
-                raise ValueError(f"negative exponent in {exps}")
+            key = _pack(variables, tuple(exps))
             if coeff:
-                normalized[exps] = normalized.get(exps, 0) + coeff
-                if normalized[exps] == 0:
-                    del normalized[exps]
+                acc = normalized.get(key, 0) + coeff
+                if acc:
+                    normalized[key] = acc
+                else:
+                    del normalized[key]
         object.__setattr__(self, "variables", variables)
-        object.__setattr__(self, "terms", normalized)
+        object.__setattr__(self, "_terms", normalized)
         object.__setattr__(self, "_hash", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("SparsePolynomial is immutable")
 
     @classmethod
-    def _raw(cls, variables: Tuple[str, ...], terms: Dict[ExponentVector, int]):
-        # Fast path for arithmetic: inputs are already normalized.
+    def _raw(cls, variables: Tuple[str, ...], terms: Dict[int, int]):
+        # Fast path for arithmetic: packed keys, no zero coefficients.
         self = object.__new__(cls)
         object.__setattr__(self, "variables", variables)
-        object.__setattr__(self, "terms", terms)
+        object.__setattr__(self, "_terms", terms)
         object.__setattr__(self, "_hash", None)
         return self
+
+    @property
+    def terms(self) -> TermMap:
+        return TermMap(self._terms, self.variables)
 
     # -- constructors -------------------------------------------------
 
     @classmethod
     def zero(cls, variables: Iterable[str]) -> "SparsePolynomial":
-        return cls(variables, {})
+        return cls._raw(tuple(variables), {})
 
     @classmethod
     def constant(cls, variables: Iterable[str], value: int) -> "SparsePolynomial":
@@ -111,8 +213,8 @@ class SparsePolynomial:
 
     def __add__(self, other: "SparsePolynomial") -> "SparsePolynomial":
         self._check_ring(other)
-        terms = dict(self.terms)
-        for exps, coeff in other.terms.items():
+        terms = dict(self._terms)
+        for exps, coeff in other._terms.items():
             acc = terms.get(exps, 0) + coeff
             if acc:
                 terms[exps] = acc
@@ -122,13 +224,13 @@ class SparsePolynomial:
 
     def __neg__(self) -> "SparsePolynomial":
         return SparsePolynomial._raw(
-            self.variables, {e: -c for e, c in self.terms.items()}
+            self.variables, {e: -c for e, c in self._terms.items()}
         )
 
     def __sub__(self, other: "SparsePolynomial") -> "SparsePolynomial":
         self._check_ring(other)
-        terms = dict(self.terms)
-        for exps, coeff in other.terms.items():
+        terms = dict(self._terms)
+        for exps, coeff in other._terms.items():
             acc = terms.get(exps, 0) - coeff
             if acc:
                 terms[exps] = acc
@@ -138,70 +240,74 @@ class SparsePolynomial:
 
     def __mul__(self, other: "SparsePolynomial") -> "SparsePolynomial":
         self._check_ring(other)
-        left, right = self.terms, other.terms
+        left, right = self._terms, other._terms
         if len(left) > len(right):
             left, right = right, left
         if len(left) == 1:
             # monomial factor: the exponent shift is injective, so no
             # like-term collection is needed
             ((e1, c1),) = left.items()
-            if not any(e1):
+            if not e1:
                 if c1 == 1:
                     return SparsePolynomial._raw(self.variables, dict(right))
                 terms = {e2: c1 * c2 for e2, c2 in right.items()}
             else:
-                terms = {
-                    tuple(map(sum, zip(e1, e2))): c1 * c2
-                    for e2, c2 in right.items()
-                }
+                terms = {e1 + e2: c1 * c2 for e2, c2 in right.items()}
+                _check_degrees(self.variables, terms)
             return SparsePolynomial._raw(self.variables, terms)
-        terms: Dict[ExponentVector, int] = {}
+        terms: Dict[int, int] = {}
         get = terms.get
         for e1, c1 in left.items():
             for e2, c2 in right.items():
-                key = tuple(map(sum, zip(e1, e2)))
+                key = e1 + e2
                 terms[key] = get(key, 0) + c1 * c2
-        return SparsePolynomial._raw(
-            self.variables, {e: c for e, c in terms.items() if c}
-        )
+        terms = {e: c for e, c in terms.items() if c}
+        _check_degrees(self.variables, terms)
+        return SparsePolynomial._raw(self.variables, terms)
 
     def __pow__(self, n: int) -> "SparsePolynomial":
         if n < 0:
             raise ValueError("negative polynomial powers are not defined")
-        result = SparsePolynomial.constant(self.variables, 1)
+        if n == 0:
+            return SparsePolynomial.constant(self.variables, 1)
+        # square only while bits of n remain: one squaring past the top bit
+        # would be wasted, and could overflow a degree the result fits in
+        result = None
         base = self
-        while n:
+        while True:
             if n & 1:
-                result = result * base
-            base = base * base
+                result = base if result is None else result * base
             n >>= 1
-        return result
+            if not n:
+                return result
+            base = base * base
 
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, SparsePolynomial)
             and self.variables == other.variables
-            and self.terms == other.terms
+            and self._terms == other._terms
         )
 
     def __hash__(self) -> int:
         h = object.__getattribute__(self, "_hash")
         if h is None:
-            h = hash((self.variables, frozenset(self.terms.items())))
+            h = hash((self.variables, frozenset(self._terms.items())))
             object.__setattr__(self, "_hash", h)
         return h
 
     # -- queries -------------------------------------------------------
 
     def __bool__(self) -> bool:
-        return bool(self.terms)
+        return bool(self._terms)
 
     def is_constant(self) -> bool:
-        return all(not any(e) for e in self.terms)
+        return not any(self._terms)
 
     def sorted_terms(self) -> Iterator[Tuple[ExponentVector, int]]:
-        for exps in sorted(self.terms, key=_grlex_key):
-            yield exps, self.terms[exps]
+        items = list(self.terms.items())
+        items.sort(key=lambda item: _grlex_key(item[0]))
+        return iter(items)
 
     # -- substitution homomorphism --------------------------------------
 
@@ -226,7 +332,7 @@ class SparsePolynomial:
     # -- formatting ------------------------------------------------------
 
     def __str__(self) -> str:
-        if not self.terms:
+        if not self._terms:
             return "0"
         pieces = []
         for exps, coeff in self.sorted_terms():
@@ -293,7 +399,7 @@ class Ring:
 
     @property
     def zero(self):
-        return 0 if self.is_integers else SparsePolynomial.zero(self.variables)
+        return 0 if self.is_integers else SparsePolynomial._raw(self.variables, {})
 
     @property
     def one(self):
@@ -302,7 +408,7 @@ class Ring:
     def from_int(self, n: int):
         if self.is_integers:
             return int(n)
-        return SparsePolynomial.constant(self.variables, n)
+        return SparsePolynomial._raw(self.variables, {0: n} if n else {})
 
     def gen(self, name: str):
         if self.is_integers:
@@ -315,6 +421,22 @@ class Ring:
                 raise ArityError("Z has no variables")
             return int(coeff)
         return SparsePolynomial.monomial(self.variables, exps, coeff)
+
+    def monomial_powers(self, exps: ExponentVector, coeffs: Sequence[int]) -> list:
+        """[c_0, c_1*x, c_2*x^2, ...] for the monomial x with exponents `exps`
+        and the integers c_j = coeffs[j]."""
+        if self.is_integers:
+            if exps:
+                raise ArityError("Z has no variables")
+            return list(coeffs)
+        variables = self.variables
+        key = _pack(variables, tuple(exps))
+        top = max((j for j, c in enumerate(coeffs) if c), default=0)
+        for v, e in zip(variables, exps):
+            if e * top > MAX_EXPONENT:
+                raise DegreeOverflowError(v, e * top)
+        raw = SparsePolynomial._raw
+        return [raw(variables, {j * key: c} if c else {}) for j, c in enumerate(coeffs)]
 
     def coerce(self, x):
         """Accept ints always; polynomials only from this exact ring."""

@@ -51,6 +51,15 @@ class TruncatedSeries:
     def __setattr__(self, name, value):
         raise AttributeError("TruncatedSeries is immutable")
 
+    @classmethod
+    def _raw(cls, ring: Ring, coefficients: list) -> "TruncatedSeries":
+        # Fast path for results whose coefficients are already elements of
+        # `ring`: no per-coefficient coerce.
+        self = object.__new__(cls)
+        object.__setattr__(self, "ring", ring)
+        object.__setattr__(self, "coefficients", tuple(coefficients))
+        return self
+
     @property
     def order(self) -> int:
         return len(self.coefficients) - 1
@@ -60,18 +69,18 @@ class TruncatedSeries:
     @classmethod
     def one(cls, ring: Ring, order: int) -> "TruncatedSeries":
         _check_order(order)
-        return cls(ring, [ring.one] + [ring.zero] * order)
+        return cls._raw(ring, [ring.one] + [ring.zero] * order)
 
     @classmethod
     def zero(cls, ring: Ring, order: int) -> "TruncatedSeries":
         _check_order(order)
-        return cls(ring, [ring.zero] * (order + 1))
+        return cls._raw(ring, [ring.zero] * (order + 1))
 
     @classmethod
     def geometric(cls, ring: Ring, order: int) -> "TruncatedSeries":
         """(1 - t)^{-1} = 1 + t + t^2 + ..."""
         _check_order(order)
-        return cls(ring, [ring.one] * (order + 1))
+        return cls._raw(ring, [ring.one] * (order + 1))
 
     @classmethod
     def one_plus_t(cls, ring: Ring, order: int) -> "TruncatedSeries":
@@ -79,7 +88,7 @@ class TruncatedSeries:
         coeffs = [ring.one] + [ring.zero] * order
         if order >= 1:
             coeffs[1] = ring.one
-        return cls(ring, coeffs)
+        return cls._raw(ring, coeffs)
 
     def truncate(self, order: int) -> "TruncatedSeries":
         _check_order(order)
@@ -127,7 +136,7 @@ class TruncatedSeries:
                 acc = out[k]
                 out[k] = p if acc is None else acc + p
         zero = self.ring.zero
-        return TruncatedSeries(self.ring, [zero if c is None else c for c in out])
+        return TruncatedSeries._raw(self.ring, [zero if c is None else c for c in out])
 
     def invert(self) -> "TruncatedSeries":
         """Multiplicative inverse of a series with constant term 1."""
@@ -150,7 +159,7 @@ class TruncatedSeries:
                 p = ci * cj
                 acc = p if acc is None else acc + p
             inv.append(zero if acc is None else -acc)
-        return TruncatedSeries(ring, inv)
+        return TruncatedSeries._raw(ring, inv)
 
     def rescale(self, k: int, order: int | None = None) -> "TruncatedSeries":
         """Substitute t -> t^k, truncated at `order` (default: this series' order).
@@ -169,7 +178,7 @@ class TruncatedSeries:
             if j * k > order:
                 break
             out[j * k] = c
-        return TruncatedSeries(ring, out)
+        return TruncatedSeries._raw(ring, out)
 
     def int_pow(self, n: int) -> "TruncatedSeries":
         """Integer power: repeated multiplication, inverting first if n < 0."""
@@ -178,13 +187,17 @@ class TruncatedSeries:
             n = -n
         else:
             base = self
-        result = TruncatedSeries.one(self.ring, self.order)
-        while n:
+        if n == 0:
+            return TruncatedSeries.one(self.ring, self.order)
+        # square only while bits of n remain, as in SparsePolynomial.__pow__
+        result = None
+        while True:
             if n & 1:
-                result = result * base
-            base = base * base
+                result = base if result is None else result * base
             n >>= 1
-        return result
+            if not n:
+                return result
+            base = base * base
 
     def eq_mod(self, other: "TruncatedSeries", k: int) -> bool:
         """True iff the coefficients of t^0..t^{k-1} agree."""

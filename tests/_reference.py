@@ -1,14 +1,15 @@
 """Slow reference routes that the fast series, lambda, Log/Exp and orbit paths must equal.
 
-These are the dense convolution, the dense inverse, the per-kind lambda
-series (one branch per lambda kind), the factor-by-factor Log/Exp that build
-every factor lambda_b(t^k) to the full order N before rescaling and invert
-it for Log, the punctual Hilbert series as a product of inverted binomials,
-the brute-force orbit count that visits every element of every orbit, and
-the two-stage parser that builds an AST, walks it once to infer the ring and
-again to evaluate it.  They are kept only so tests can compare the fast
-routes against them; they share no lambda code with the library, and the
-parser shares only the tokenizer.
+These are the tuple-keyed polynomial arithmetic, the dense convolution,
+the dense inverse, the generic lambda factor (1 - x*t)^e built by ring
+multiplication, the per-kind lambda series (one branch per lambda kind),
+the factor-by-factor Log/Exp that build every factor lambda_b(t^k) to the
+full order N before rescaling and invert it for Log, the punctual Hilbert
+series as a product of inverted binomials, the brute-force orbit count that
+visits every element of every orbit, and the two-stage parser that builds
+an AST, walks it once to infer the ring and again to evaluate it.  They are kept only so tests can compare the fast
+routes against them; they share no lambda code with the library but
+generalized_binomial, and the parser shares only the tokenizer.
 """
 
 import itertools
@@ -17,9 +18,9 @@ import sys
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from powerstruct.kernels import Block, OrbitCheckError
-from powerstruct.lambdas import LambdaStructure, UnsupportedLambdaError
+from powerstruct.lambdas import LambdaStructure, UnsupportedLambdaError, generalized_binomial
 from powerstruct.parsing import ParseError, _tokenize
-from powerstruct.rings import Ring, UnboundVariableError
+from powerstruct.rings import ArityError, ExponentVector, Ring, UnboundVariableError
 from powerstruct.series import NonUnitError, TruncatedSeries
 
 
@@ -52,6 +53,114 @@ def dense_invert(a: TruncatedSeries) -> TruncatedSeries:
             acc = acc + ci * inv[j - i]
         inv.append(-acc)
     return TruncatedSeries(ring, inv)
+
+
+class TupleKeyedPolynomial:
+    """SparsePolynomial arithmetic as it was with tuple keys: each exponent
+    vector is a tuple, a product adds them componentwise, and no degree is
+    limited.  Built from any (exponent tuple -> coefficient) map."""
+
+    __slots__ = ("variables", "terms")
+
+    def __init__(self, variables, terms):
+        self.variables = tuple(variables)
+        self.terms = {tuple(e): c for e, c in terms.items() if c}
+
+    @classmethod
+    def _raw(cls, variables, terms):
+        return cls(variables, terms)
+
+    @classmethod
+    def constant(cls, variables, value):
+        variables = tuple(variables)
+        return cls(variables, {(0,) * len(variables): value})
+
+    def _check_ring(self, other: "TupleKeyedPolynomial") -> None:
+        if not isinstance(other, TupleKeyedPolynomial):
+            raise TypeError(f"expected TupleKeyedPolynomial, got {type(other).__name__}")
+        if self.variables != other.variables:
+            raise ArityError(
+                f"mismatched variable lists {self.variables} vs {other.variables}"
+            )
+
+    def __add__(self, other: "TupleKeyedPolynomial") -> "TupleKeyedPolynomial":
+        self._check_ring(other)
+        terms = dict(self.terms)
+        for exps, coeff in other.terms.items():
+            acc = terms.get(exps, 0) + coeff
+            if acc:
+                terms[exps] = acc
+            elif exps in terms:
+                del terms[exps]
+        return TupleKeyedPolynomial._raw(self.variables, terms)
+
+    def __neg__(self) -> "TupleKeyedPolynomial":
+        return TupleKeyedPolynomial._raw(
+            self.variables, {e: -c for e, c in self.terms.items()}
+        )
+
+    def __sub__(self, other: "TupleKeyedPolynomial") -> "TupleKeyedPolynomial":
+        self._check_ring(other)
+        terms = dict(self.terms)
+        for exps, coeff in other.terms.items():
+            acc = terms.get(exps, 0) - coeff
+            if acc:
+                terms[exps] = acc
+            elif exps in terms:
+                del terms[exps]
+        return TupleKeyedPolynomial._raw(self.variables, terms)
+
+    def __mul__(self, other: "TupleKeyedPolynomial") -> "TupleKeyedPolynomial":
+        self._check_ring(other)
+        left, right = self.terms, other.terms
+        if len(left) > len(right):
+            left, right = right, left
+        if len(left) == 1:
+            # monomial factor: the exponent shift is injective, so no
+            # like-term collection is needed
+            ((e1, c1),) = left.items()
+            if not any(e1):
+                if c1 == 1:
+                    return TupleKeyedPolynomial._raw(self.variables, dict(right))
+                terms = {e2: c1 * c2 for e2, c2 in right.items()}
+            else:
+                terms = {
+                    tuple(map(sum, zip(e1, e2))): c1 * c2
+                    for e2, c2 in right.items()
+                }
+            return TupleKeyedPolynomial._raw(self.variables, terms)
+        terms: Dict[ExponentVector, int] = {}
+        get = terms.get
+        for e1, c1 in left.items():
+            for e2, c2 in right.items():
+                key = tuple(map(sum, zip(e1, e2)))
+                terms[key] = get(key, 0) + c1 * c2
+        return TupleKeyedPolynomial._raw(
+            self.variables, {e: c for e, c in terms.items() if c}
+        )
+
+    def __pow__(self, n: int) -> "TupleKeyedPolynomial":
+        if n < 0:
+            raise ValueError("negative polynomial powers are not defined")
+        result = TupleKeyedPolynomial.constant(self.variables, 1)
+        base = self
+        while n:
+            if n & 1:
+                result = result * base
+            base = base * base
+            n >>= 1
+        return result
+
+
+def generic_one_minus_xt_power(ring: Ring, x, e: int, order: int) -> TruncatedSeries:
+    """(1 - x*t)^e truncated, for any integer e: coefficient j is
+    (-1)^j * binom(e, j) * x^j."""
+    coeffs = [ring.one]
+    xpow = ring.one
+    for j in range(1, order + 1):
+        xpow = xpow * x
+        coeffs.append(ring.from_int((-1) ** j * generalized_binomial(e, j)) * xpow)
+    return TruncatedSeries(ring, coeffs)
 
 
 def _one_minus_xt_power(ring: Ring, x, e: int, order: int) -> TruncatedSeries:

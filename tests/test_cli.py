@@ -192,6 +192,21 @@ def test_computation_error_exit_code():
     assert err == "error: profile {1: 2} needs 160 orbit representatives (budget 100)\n"
 
 
+def test_degree_overflow_exit_code():
+    rc, out, err = run(
+        ["power", "--ring", "Z[u]", "--lambda", "poly-product", "--series",
+         "1+u^2147483648*t", "--exponent", "2", "--order", "2"]
+    )
+    assert (rc, out) == (2, "")
+    assert err == "error: exponent 2147483648 of variable u exceeds the limit 2147483647\n"
+
+    rc, out, err = run(
+        ["power", "--ring", "Z[u]", "--lambda", "poly-product", "--series",
+         "1+u^2147483647*t", "--exponent", "2", "--order", "1"]
+    )
+    assert (rc, out, err) == (0, "t^0: 1\nt^1: 2*u^2147483647\n", "")
+
+
 def test_budget_counts_orbit_representatives():
     # {1: 3} spans 6^3 * 3^3 = 5832 tuples of points and states, above the
     # budget, but only perm(6, 3) * 3^3 / 3! = 540 orbit representatives

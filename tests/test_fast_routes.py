@@ -1,6 +1,6 @@
-"""The sparse series arithmetic, the signed-product lambda series and the
-short-factor Log/Exp equal the slow reference routes of tests/_reference.py
-exactly."""
+"""The packed-key polynomial arithmetic, the sparse series arithmetic, the
+direct lambda factors, the signed-product lambda series and the short-factor
+Log/Exp equal the slow reference routes of tests/_reference.py exactly."""
 
 import random
 
@@ -10,12 +10,19 @@ from powerstruct.lambdas import (
     LAMBDA_KINDS,
     LambdaStructure,
     UnsupportedLambdaError,
+    _one_minus_xt_power,
     decompose_product,
     exp_map,
     lambda_series,
     power,
 )
-from powerstruct.rings import INTEGERS, Ring, SparsePolynomial
+from powerstruct.rings import (
+    INTEGERS,
+    MAX_EXPONENT,
+    DegreeOverflowError,
+    Ring,
+    SparsePolynomial,
+)
 from powerstruct.series import TruncatedSeries
 
 from _gen import (
@@ -26,11 +33,13 @@ from _gen import (
     sparse_unit_series,
 )
 from _reference import (
+    TupleKeyedPolynomial,
     dense_invert,
     dense_mul,
     full_order_decompose,
     full_order_exp,
     full_order_power,
+    generic_one_minus_xt_power,
     per_kind_lambda_series,
 )
 
@@ -165,3 +174,136 @@ def test_bool_of_polynomials():
     assert not SparsePolynomial(("u", "v"), {(1, 0): 0})
     assert u and UV.one and -u
     assert SparsePolynomial.constant(("u", "v"), -3)
+
+
+# -- packed monomial keys against the tuple-keyed reference ------------------
+
+NEAR_LIMIT = (MAX_EXPONENT // 2 - 2, MAX_EXPONENT // 2 + 1, MAX_EXPONENT - 1, MAX_EXPONENT)
+
+
+def packed_operands(rng, variables):
+    """Zero, constants, monomials, and general polynomials whose exponents
+    are small or near the degree limit."""
+    arity = len(variables)
+
+    def exps(big):
+        return tuple(
+            rng.choice(NEAR_LIMIT) if big and rng.random() < 0.5 else rng.randint(0, 3)
+            for _ in range(arity)
+        )
+
+    def poly(n_terms, big):
+        return SparsePolynomial(
+            variables, {exps(big): rng.choice([-3, -2, -1, 1, 2, 5]) for _ in range(n_terms)}
+        )
+
+    out = [
+        SparsePolynomial.zero(variables),
+        SparsePolynomial.constant(variables, rng.randint(2, 9)),
+        SparsePolynomial.constant(variables, 1),
+        SparsePolynomial.constant(variables, -1),
+    ]
+    for big in (False, True):
+        out += [poly(1, big), poly(1, big), poly(rng.randint(2, 5), big)]
+    general = poly(4, False)
+    out += [general, -general, general + poly(1, False)]  # a - a cancels to zero
+    return out
+
+
+def reference(p):
+    return TupleKeyedPolynomial(p.variables, dict(p.terms.items()))
+
+
+def same_or_refused(compute, expected):
+    """`compute()` equals the reference result, or raises DegreeOverflowError
+    exactly when the reference holds an exponent above the limit."""
+    if any(e > MAX_EXPONENT for exps in expected.terms for e in exps):
+        with pytest.raises(DegreeOverflowError):
+            compute()
+        return 0
+    got = compute()
+    assert dict(got.terms.items()) == expected.terms
+    assert len(got.terms) == len(expected.terms)
+    assert sorted(got.terms.values()) == sorted(expected.terms.values())
+    return 1
+
+
+@pytest.mark.parametrize("variables", [("u",), ("u", "v"), ("a", "b", "c")], ids=len)
+def test_packed_arithmetic_equals_the_tuple_keyed_reference(variables):
+    rng = random.Random(f"packed {variables}")
+    kept = refused = 0
+    for _ in range(6):
+        polys = packed_operands(rng, variables)
+        for a in polys:
+            ra = reference(a)
+            assert dict((-a).terms.items()) == (-ra).terms
+            for n in range(4):
+                kept_now = same_or_refused(lambda: a**n, ra**n)
+                kept, refused = kept + kept_now, refused + 1 - kept_now
+            for b in polys:
+                rb = reference(b)
+                same_or_refused(lambda: a + b, ra + rb)
+                same_or_refused(lambda: a - b, ra - rb)
+                kept_now = same_or_refused(lambda: a * b, ra * rb)
+                kept, refused = kept + kept_now, refused + 1 - kept_now
+            assert not (a - a) and (a - a).terms == {}
+    assert kept and refused  # both sides of the degree limit were exercised
+
+
+@pytest.mark.parametrize("ring", [INTEGERS, Ring(("u",)), UV, Ring(("a", "b", "c"))], ids=lambda r: r.name)
+def test_direct_lambda_factor_equals_the_generic_route(ring):
+    rng = random.Random(f"factor {ring.name}")
+    for _ in range(120):
+        exps = tuple(rng.randint(0, 3) for _ in ring.variables)
+        c = rng.choice([1, -1, 2, -3])
+        e = rng.randint(-6, 6)
+        order = rng.randint(0, 9)
+        expected = generic_one_minus_xt_power(ring, ring.monomial(exps, c), e, order)
+        assert _one_minus_xt_power(ring, exps, c, e, order) == expected
+    if ring.is_integers:
+        return
+    # near the degree limit: x^order just fits, and x^(order+1) is refused
+    # unless its binomial coefficient vanishes
+    top = (MAX_EXPONENT // 3,) + (0,) * (len(ring.variables) - 1)
+    x = ring.monomial(top, -1)
+    assert _one_minus_xt_power(ring, top, -1, -2, 3) == generic_one_minus_xt_power(ring, x, -2, 3)
+    with pytest.raises(DegreeOverflowError):
+        _one_minus_xt_power(ring, top, 1, -2, 4)
+    half = (0,) * (len(ring.variables) - 1) + (2**30,)
+    with pytest.raises(DegreeOverflowError) as got:
+        _one_minus_xt_power(ring, half, 1, -1, 2)  # x^2 has exponent 2^31
+    assert (got.value.variable, got.value.exponent) == (ring.variables[-1], 2**31)
+    below = (0,) * (len(ring.variables) - 1) + (2**30 - 1,)
+    x = ring.monomial(below)
+    assert _one_minus_xt_power(ring, below, 1, -1, 2) == generic_one_minus_xt_power(ring, x, -1, 2)
+    assert _one_minus_xt_power(ring, top, 1, 3, 4).coefficients[4] == ring.zero
+
+
+def assert_ring_elements(series):
+    ring = series.ring
+    for c in series.coefficients:
+        if ring.is_integers:
+            assert type(c) is int
+        else:
+            assert type(c) is SparsePolynomial and c.variables == ring.variables
+
+
+@pytest.mark.parametrize("ring", [INTEGERS, Ring(("u",)), UV, Ring(("a", "b", "c"))], ids=lambda r: r.name)
+def test_arithmetic_results_hold_elements_of_the_series_ring(ring):
+    rng = random.Random(f"elements {ring.name}")
+    for order in range(6):
+        for build in (TruncatedSeries.one, TruncatedSeries.zero, TruncatedSeries.geometric,
+                      TruncatedSeries.one_plus_t):
+            assert_ring_elements(build(ring, order))
+        a = random_unit_series(rng, ring, order)
+        b = random_series(rng, ring, order)
+        for result in (a * b, a * a, a.invert(), a.rescale(2), a.rescale(3, order=order + 4),
+                       a.int_pow(3), a.int_pow(-2)):
+            assert_ring_elements(result)
+        for kind in LAMBDA_KINDS:
+            lam = LambdaStructure(kind, ring)
+            for x in lambda_exponents(rng, ring):
+                try:
+                    assert_ring_elements(lambda_series(lam, x, order))
+                except UnsupportedLambdaError:
+                    assert not ring.is_constant(x)

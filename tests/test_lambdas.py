@@ -205,17 +205,21 @@ def test_charge_profiles():
 
 
 def test_bounded_charge_profiles_are_the_filtered_unbounded_ones():
+    part_sets = [None, [], [1], [2, 5], [3, 1, 3], [4, 6, 7], list(range(1, 30, 3)), [0, 2, 40]]
     for k in range(21):
         every = list(charge_profiles(k))
         bounds = [None, *sorted({0, 1, 2, 3, k // 2, max(k - 1, 0), k, k + 1})]
         for max_part in bounds:
             for max_parts in bounds:
-                expected = [
-                    p for p in every
-                    if (max_part is None or max(p, default=0) <= max_part)
-                    and (max_parts is None or sum(p.values()) <= max_parts)
-                ]
-                assert list(charge_profiles(k, max_part, max_parts)) == expected
+                for parts in part_sets:
+                    expected = [
+                        p for p in every
+                        if (max_part is None or max(p, default=0) <= max_part)
+                        and (max_parts is None or sum(p.values()) <= max_parts)
+                        and (parts is None or set(p) <= set(parts))
+                    ]
+                    got = list(charge_profiles(k, max_part, max_parts, parts=parts))
+                    assert got == expected
 
 
 def test_generalized_binomial():
@@ -240,3 +244,32 @@ def test_integer_power_formula_matches_repeated_multiplication():
         a = random_unit_series(rng, INTEGERS, 8)
         m = rng.randint(-5, 5)
         assert integer_power_formula(a, m) == a.int_pow(m)
+
+
+def test_integer_power_formula_visits_only_contributing_profiles(monkeypatch):
+    from powerstruct import lambdas
+
+    visited = []
+    enumerate_profiles = lambdas.charge_profiles
+
+    def counting(*args, **kwargs):
+        for profile in enumerate_profiles(*args, **kwargs):
+            visited.append(profile)
+            yield profile
+
+    monkeypatch.setattr(lambdas, "charge_profiles", counting)
+    sparse = S([1] + [0] * 39 + [1])  # 1 + t^40
+    assert integer_power_formula(sparse, -2) == sparse.int_pow(-2)
+    assert visited == [{40: 1}]
+
+    for coeffs, m in [([1, 0, 3, 0, 0, -1] + [0] * 8, -3), ([1, 0, 3, 0, 0, -1] + [0] * 8, 4),
+                      ([1, 2, 0, 0, 1, 0, 0, 0, 0], -1)]:
+        A = S(coeffs)
+        visited.clear()
+        assert integer_power_formula(A, m) == A.int_pow(m)
+        nonzero = {i for i, a in enumerate(coeffs) if i and a}
+        contributing = [
+            p for k in range(1, A.order + 1) for p in enumerate_profiles(k)
+            if set(p) <= nonzero and (m < 0 or sum(p.values()) <= m)
+        ]
+        assert visited == contributing

@@ -1,10 +1,14 @@
 import random
+from collections.abc import Mapping
 
 import pytest
 
+from powerstruct.parsing import parse_polynomial
 from powerstruct.rings import (
     ArityError,
+    DegreeOverflowError,
     INTEGERS,
+    MAX_EXPONENT,
     Ring,
     SparsePolynomial,
     UnboundVariableError,
@@ -121,3 +125,85 @@ def test_ring_names_and_coercion():
     assert INTEGERS.coerce(5) == 5
     with pytest.raises(ArityError):
         UV.coerce(SparsePolynomial(("u",), {(1,): 1}))
+
+
+@pytest.mark.parametrize("ring", [Ring(("u",)), UV, Ring(("a", "b", "c"))], ids=lambda r: r.name)
+def test_rebuild_from_terms_keeps_hash_and_equality(ring):
+    rng = random.Random(f"rebuild {ring.name}")
+    for _ in range(50):
+        p = random_element(rng, ring, max_degree=5, max_terms=6, coeff_bound=4)
+        again = SparsePolynomial(p.variables, p.terms)
+        assert again == p and hash(again) == hash(p)
+        plain = dict(p.terms)
+        assert SparsePolynomial(p.variables, plain) == p
+        assert hash(SparsePolynomial(p.variables, plain)) == hash(p)
+        assert p.terms == plain and len(p.terms) == len(plain)
+
+
+def test_terms_is_a_read_only_tuple_keyed_view():
+    p = poly({(2, 0): 3, (0, 1): -1, (0, 0): 7})
+    terms = p.terms
+    assert isinstance(terms, Mapping)
+    assert set(terms) == {(2, 0), (0, 1), (0, 0)}
+    assert terms[(2, 0)] == 3 and (0, 1) in terms and (1, 1) not in terms
+    assert sorted(terms.values()) == [-1, 3, 7]
+    assert dict(terms.items()) == {(2, 0): 3, (0, 1): -1, (0, 0): 7}
+    for missing in [(1, 1), (1,), (-1, 0), (MAX_EXPONENT + 1, 0), "uv"]:
+        with pytest.raises(KeyError):
+            terms[missing]
+    with pytest.raises(TypeError):
+        terms[(5, 5)] = 1
+    assert list(p.sorted_terms()) == [((0, 0), 7), ((0, 1), -1), ((2, 0), 3)]
+
+
+def count_products(monkeypatch, cls):
+    calls = []
+    mul = cls.__mul__
+
+    def counting(self, other):
+        calls.append(1)
+        return mul(self, other)
+
+    monkeypatch.setattr(cls, "__mul__", counting)
+    return calls
+
+
+def test_power_squares_only_while_bits_of_n_remain(monkeypatch):
+    x = UV.gen("u") + UV.gen("v")
+    expected = {n: x**n for n in range(17)}
+    calls = count_products(monkeypatch, SparsePolynomial)
+    # bit_length(n) - 1 squarings and popcount(n) - 1 products into the result
+    for n, count in [(0, 0), (1, 0), (2, 1), (3, 2), (2**4, 4), (2**4 - 1, 6), (2**5 - 1, 8)]:
+        calls.clear()
+        p = x**n
+        assert len(calls) == count, n
+        if n in expected:
+            assert p == expected[n]
+    assert x**2 == x * x and x**3 == x * x * x
+
+
+def test_degree_limit_per_variable():
+    u, v = UV.gen("u"), UV.gen("v")
+    top = u**MAX_EXPONENT
+    assert top.terms == {(MAX_EXPONENT, 0): 1}
+    assert str(parse_polynomial("u^2147483647")) == "u^2147483647" == str(top)
+    assert MAX_EXPONENT == 2**31 - 1
+    assert str(u ** (2**30) * u ** (2**30 - 1)) == "u^2147483647"
+    cases = [
+        lambda: u ** (MAX_EXPONENT + 1),
+        lambda: u ** (2**30) * u ** (2**30),
+        lambda: (u + v) * (u**MAX_EXPONENT + v),
+        lambda: SparsePolynomial(("u", "v"), {(MAX_EXPONENT + 1, 0): 1}),
+        lambda: UV.monomial((0, 2**31), 2),
+    ]
+    for build, (variable, exponent) in zip(
+        cases, [("u", 2**31), ("u", 2**31), ("u", 2**31), ("u", 2**31), ("v", 2**31)]
+    ):
+        with pytest.raises(DegreeOverflowError) as got:
+            build()
+        assert (got.value.variable, got.value.exponent) == (variable, exponent)
+        assert str(got.value) == (
+            f"exponent {exponent} of variable {variable} exceeds the limit 2147483647"
+        )
+    # the guard bit of one slot never carries into the next variable
+    assert (v**MAX_EXPONENT * u**MAX_EXPONENT).terms == {(MAX_EXPONENT, MAX_EXPONENT): 1}

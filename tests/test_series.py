@@ -122,3 +122,28 @@ def test_eq_mod():
     a = random_series(rng, INTEGERS, 6)
     for k in range(7):
         assert a.eq_mod(a, k)
+
+
+def test_int_pow_squares_only_while_bits_of_n_remain(monkeypatch):
+    a = S([1, 2, -1, 3, 0, 1])
+    expected = {n: a.int_pow(n) for n in range(-9, 17)}
+    calls = []
+    mul = TruncatedSeries.__mul__
+
+    def counting(self, other):
+        calls.append(1)
+        return mul(self, other)
+
+    monkeypatch.setattr(TruncatedSeries, "__mul__", counting)
+    # bit_length(|n|) - 1 squarings and popcount(|n|) - 1 products into the result
+    for n, count in [(0, 0), (1, 0), (2, 1), (3, 2), (2**3, 3), (2**4, 4), (2**4 - 1, 6),
+                     (-1, 0), (-2**3, 3), (-(2**3 - 1), 4)]:
+        calls.clear()
+        assert a.int_pow(n) == expected[n]
+        assert len(calls) == count, n
+    one = product = TruncatedSeries.one(INTEGERS, a.order)
+    for n in range(17):
+        assert expected[n] == product
+        if n <= 9:
+            assert mul(expected[-n], product) == one
+        product = mul(product, a)
