@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from . import kernels
 from .lambdas import charge_profiles, LambdaStructure, power
@@ -156,33 +156,26 @@ def find_equivalence(
 # -- symmetric powers and configuration spaces -------------------------------
 
 
-def _multiset_index(size: int, k: int) -> Dict[Tuple[int, ...], int]:
-    return {
-        ms: i
-        for i, ms in enumerate(itertools.combinations_with_replacement(range(size), k))
-    }
+def _image_multiset_map(f: FiniteMap, k: int, choose) -> FiniteMap:
+    """The k-element selections `choose(source, k)` mapped to image multisets."""
+    if k < 0:
+        raise ValueError("k must be nonnegative")
+    src = list(choose(range(f.source_size), k))
+    tgt = itertools.combinations_with_replacement(range(f.target_size), k)
+    tgt_index = {ms: i for i, ms in enumerate(tgt)}
+    fv = f.values
+    values = [tgt_index[tuple(sorted([fv[x] for x in sel]))] for sel in src]
+    return FiniteMap(len(src), len(tgt_index), values)
 
 
 def symmetric_power_map(f: FiniteMap, k: int) -> FiniteMap:
     """S^k f: size-k multisets over the source mapped to image multisets."""
-    if k < 0:
-        raise ValueError("k must be nonnegative")
-    src = list(itertools.combinations_with_replacement(range(f.source_size), k))
-    tgt_index = _multiset_index(f.target_size, k)
-    fv = f.values
-    values = [tgt_index[tuple(sorted([fv[x] for x in ms]))] for ms in src]
-    return FiniteMap(len(src), len(tgt_index), values)
+    return _image_multiset_map(f, k, itertools.combinations_with_replacement)
 
 
 def config_space_map(f: FiniteMap, k: int) -> FiniteMap:
     """B_k f: k-element subsets of the source mapped to image multisets."""
-    if k < 0:
-        raise ValueError("k must be nonnegative")
-    src = list(itertools.combinations(range(f.source_size), k))
-    tgt_index = _multiset_index(f.target_size, k)
-    fv = f.values
-    values = [tgt_index[tuple(sorted([fv[x] for x in sub]))] for sub in src]
-    return FiniteMap(len(src), len(tgt_index), values)
+    return _image_multiset_map(f, k, itertools.combinations)
 
 
 # -- the geometric power structure oracle -------------------------------------
@@ -211,15 +204,17 @@ def particle_configuration_count(m_size: int, coeff_sizes: Sequence[int], k: int
 def _profile_blocks(m_size: int, coeffs: Sequence[FiniteMap], k: int, budget: int):
     """(profile, kernel blocks) for every charge profile of t^k that can add orbits.
 
-    A profile needs a nonempty coefficient set for each charge, so no part
-    exceeds len(coeffs), and distinct points, so it has at most m_size
-    parts.  Every profile is checked against the budget before the list is
-    returned, so an over-budget profile is refused before any enumeration.
+    A profile needs a nonempty coefficient set for each charge, so its parts
+    are the charges i with X_i nonempty, and distinct points, so it has at
+    most m_size parts; any other profile adds 0 orbits.  Every profile is
+    checked against the budget before the list is returned, so an
+    over-budget profile is refused before any enumeration.
     """
     if k < 1:
         raise ValueError("k must be positive")
     plan = []
-    for profile in charge_profiles(k, len(coeffs), m_size):
+    charges = [i for i, x in enumerate(coeffs, start=1) if x.source_size]
+    for profile in charge_profiles(k, m_size, parts=charges):
         reps = math.perm(m_size, sum(profile.values()))
         blocks = []
         for i, k_i in sorted(profile.items()):

@@ -142,26 +142,23 @@ def power(A: TruncatedSeries, m, lam: LambdaStructure) -> TruncatedSeries:
 
 
 def charge_profiles(
-    k: int,
-    max_part: int | None = None,
-    max_parts: int | None = None,
-    parts: Iterable[int] | None = None,
+    k: int, max_parts: int | None = None, parts: Iterable[int] | None = None
 ) -> Iterator[Dict[int, int]]:
     """Partitions of k as multiplicity maps {charge i -> count k_i}.
 
-    Only partitions with every part at most `max_part`, at most `max_parts`
-    parts and (when given) every part in `parts` are yielded (no bound when
-    None); a branch that cannot meet the bounds is cut before it is
-    explored.  Deterministic (lexicographic in the descending-part
-    representation) so summation order is reproducible.
+    Only partitions with at most `max_parts` parts and (when given) every
+    part in `parts` are yielded (no bound when None); a branch that cannot
+    meet the bounds is cut before it is explored.  Deterministic
+    (lexicographic in the descending-part representation) so summation
+    order is reproducible.
     """
     if k < 0:
         raise ValueError("k must be nonnegative")
-    top = k if max_part is None else min(k, max_part)
     allowed = sorted(
-        {p for p in (range(1, top + 1) if parts is None else parts) if 1 <= p <= top},
+        {p for p in (range(1, k + 1) if parts is None else parts) if 1 <= p <= k},
         reverse=True,
     )
+    top = allowed[0] if allowed else 0
     # the allowed parts at most r, largest first, for each bound r
     below = [[p for p in allowed if p <= r] for r in range(top + 1)]
 
@@ -219,4 +216,4 @@ def integer_power_formula(A: TruncatedSeries, m: int) -> TruncatedSeries:
                 term = p if term is None else term * p
             acc = acc + ring.from_int(factor) * term
         out[k] = acc
-    return TruncatedSeries(ring, out)
+    return TruncatedSeries._raw(ring, out)

@@ -9,7 +9,7 @@ variables -> 1) connect them and commute with the power structures.
 from __future__ import annotations
 
 from .lambdas import LambdaStructure, exp_map, power
-from .rings import INTEGERS, Ring, SparsePolynomial
+from .rings import INTEGERS, Ring
 from .series import TruncatedSeries
 
 HODGE_RING = Ring(("u", "v"))
@@ -66,12 +66,10 @@ def specialize_series(A: TruncatedSeries, target: str) -> TruncatedSeries:
     elif target == "hodge_from_L":
         if ring != MOTIVIC_RING:
             raise ValueError(f"hodge_from_L specializes Z[L], not {ring.name}")
-        uv = SparsePolynomial.monomial(("u", "v"), (1, 1))
-        bindings = {"L": uv}
+        bindings = {"L": HODGE_RING.monomial((1, 1))}
         out_ring = HODGE_RING
     else:
         raise ValueError(f"unknown specialization {target!r}")
-    return TruncatedSeries(
-        out_ring,
-        [ring.coerce(c).substitute(out_ring, bindings) for c in A.coefficients],
+    return TruncatedSeries._raw(
+        out_ring, [c.substitute(out_ring, bindings) for c in A.coefficients]
     )

@@ -12,7 +12,7 @@ function, so everything here is safe for unrestricted concurrent reads.
 
 from __future__ import annotations
 
-from collections.abc import ItemsView, Mapping
+from collections.abc import Mapping
 from functools import lru_cache, reduce
 from operator import or_
 from typing import Dict, Iterable, Iterator, Sequence, Tuple
@@ -88,11 +88,20 @@ def _grlex_key(exps: ExponentVector):
     return (sum(exps), tuple(-e for e in exps))
 
 
-class _TermItems(ItemsView):
-    def __iter__(self):
-        arity = len(self._mapping._variables)
-        for key, coeff in self._mapping._packed.items():
-            yield _unpack(key, arity), coeff
+def power_by_squaring(base, n: int):
+    """base**n for n >= 1, with the operand's `*`.
+
+    Squares only while bits of n remain: one squaring past the top bit would
+    be wasted, and could overflow a degree the result fits in.
+    """
+    result = None
+    while True:
+        if n & 1:
+            result = base if result is None else result * base
+        n >>= 1
+        if not n:
+            return result
+        base = base * base
 
 
 class TermMap(Mapping):
@@ -125,12 +134,6 @@ class TermMap(Mapping):
     def values(self):
         return self._packed.values()
 
-    def items(self):
-        return _TermItems(self)
-
-    def __repr__(self) -> str:
-        return repr(dict(self.items()))
-
 
 class SparsePolynomial:
     """A multivariate integer polynomial in normalized sparse form.
@@ -143,7 +146,7 @@ class SparsePolynomial:
     produced by a product, raises DegreeOverflowError.
     """
 
-    __slots__ = ("variables", "_terms", "_hash")
+    __slots__ = ("variables", "_terms")
 
     def __init__(self, variables: Iterable[str], terms: Mapping[ExponentVector, int]):
         variables = tuple(variables)
@@ -158,7 +161,6 @@ class SparsePolynomial:
                     del normalized[key]
         object.__setattr__(self, "variables", variables)
         object.__setattr__(self, "_terms", normalized)
-        object.__setattr__(self, "_hash", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("SparsePolynomial is immutable")
@@ -169,37 +171,16 @@ class SparsePolynomial:
         self = object.__new__(cls)
         object.__setattr__(self, "variables", variables)
         object.__setattr__(self, "_terms", terms)
-        object.__setattr__(self, "_hash", None)
         return self
 
     @property
     def terms(self) -> TermMap:
         return TermMap(self._terms, self.variables)
 
-    # -- constructors -------------------------------------------------
-
-    @classmethod
-    def zero(cls, variables: Iterable[str]) -> "SparsePolynomial":
-        return cls._raw(tuple(variables), {})
-
     @classmethod
     def constant(cls, variables: Iterable[str], value: int) -> "SparsePolynomial":
         variables = tuple(variables)
         return cls(variables, {(0,) * len(variables): value})
-
-    @classmethod
-    def monomial(
-        cls, variables: Iterable[str], exps: ExponentVector, coeff: int = 1
-    ) -> "SparsePolynomial":
-        return cls(variables, {tuple(exps): coeff})
-
-    @classmethod
-    def variable(cls, variables: Iterable[str], name: str) -> "SparsePolynomial":
-        variables = tuple(variables)
-        if name not in variables:
-            raise UnboundVariableError(name)
-        exps = tuple(1 if v == name else 0 for v in variables)
-        return cls(variables, {exps: 1})
 
     # -- ring operations ----------------------------------------------
 
@@ -211,16 +192,20 @@ class SparsePolynomial:
                 f"mismatched variable lists {self.variables} vs {other.variables}"
             )
 
-    def __add__(self, other: "SparsePolynomial") -> "SparsePolynomial":
+    def _plus(self, other: "SparsePolynomial", sign: int) -> "SparsePolynomial":
+        """self + sign * other, for sign = 1 or -1."""
         self._check_ring(other)
         terms = dict(self._terms)
-        for exps, coeff in other._terms.items():
-            acc = terms.get(exps, 0) + coeff
+        for key, coeff in other._terms.items():
+            acc = terms.get(key, 0) + sign * coeff
             if acc:
-                terms[exps] = acc
-            elif exps in terms:
-                del terms[exps]
+                terms[key] = acc
+            elif key in terms:
+                del terms[key]
         return SparsePolynomial._raw(self.variables, terms)
+
+    def __add__(self, other: "SparsePolynomial") -> "SparsePolynomial":
+        return self._plus(other, 1)
 
     def __neg__(self) -> "SparsePolynomial":
         return SparsePolynomial._raw(
@@ -228,15 +213,7 @@ class SparsePolynomial:
         )
 
     def __sub__(self, other: "SparsePolynomial") -> "SparsePolynomial":
-        self._check_ring(other)
-        terms = dict(self._terms)
-        for exps, coeff in other._terms.items():
-            acc = terms.get(exps, 0) - coeff
-            if acc:
-                terms[exps] = acc
-            elif exps in terms:
-                del terms[exps]
-        return SparsePolynomial._raw(self.variables, terms)
+        return self._plus(other, -1)
 
     def __mul__(self, other: "SparsePolynomial") -> "SparsePolynomial":
         self._check_ring(other)
@@ -269,18 +246,8 @@ class SparsePolynomial:
         if n < 0:
             raise ValueError("negative polynomial powers are not defined")
         if n == 0:
-            return SparsePolynomial.constant(self.variables, 1)
-        # square only while bits of n remain: one squaring past the top bit
-        # would be wasted, and could overflow a degree the result fits in
-        result = None
-        base = self
-        while True:
-            if n & 1:
-                result = base if result is None else result * base
-            n >>= 1
-            if not n:
-                return result
-            base = base * base
+            return SparsePolynomial._raw(self.variables, {0: 1})
+        return power_by_squaring(self, n)
 
     def __eq__(self, other) -> bool:
         return (
@@ -290,22 +257,16 @@ class SparsePolynomial:
         )
 
     def __hash__(self) -> int:
-        h = object.__getattribute__(self, "_hash")
-        if h is None:
-            h = hash((self.variables, frozenset(self._terms.items())))
-            object.__setattr__(self, "_hash", h)
-        return h
+        return hash((self.variables, frozenset(self._terms.items())))
 
     # -- queries -------------------------------------------------------
 
     def __bool__(self) -> bool:
         return bool(self._terms)
 
-    def is_constant(self) -> bool:
-        return not any(self._terms)
-
     def sorted_terms(self) -> Iterator[Tuple[ExponentVector, int]]:
-        items = list(self.terms.items())
+        arity = len(self.variables)
+        items = [(_unpack(key, arity), coeff) for key, coeff in self._terms.items()]
         items.sort(key=lambda item: _grlex_key(item[0]))
         return iter(items)
 
@@ -321,10 +282,11 @@ class SparsePolynomial:
             if v not in bindings:
                 raise UnboundVariableError(v)
         images = [target.coerce(bindings[v]) for v in self.variables]
+        arity = len(self.variables)
         acc = target.zero
-        for exps, coeff in self.terms.items():
+        for key, coeff in self._terms.items():
             term = target.from_int(coeff)
-            for image, e in zip(images, exps):
+            for image, e in zip(images, _unpack(key, arity)):
                 term = term * image**e
             acc = acc + term
         return acc
@@ -411,16 +373,17 @@ class Ring:
         return SparsePolynomial._raw(self.variables, {0: n} if n else {})
 
     def gen(self, name: str):
-        if self.is_integers:
+        if name not in self.variables:
             raise UnboundVariableError(name)
-        return SparsePolynomial.variable(self.variables, name)
+        key = 1 << (SLOT_BITS * self.variables.index(name))
+        return SparsePolynomial._raw(self.variables, {key: 1})
 
     def monomial(self, exps: ExponentVector, coeff: int = 1):
         if self.is_integers:
             if exps:
                 raise ArityError("Z has no variables")
             return int(coeff)
-        return SparsePolynomial.monomial(self.variables, exps, coeff)
+        return SparsePolynomial(self.variables, {tuple(exps): coeff})
 
     def monomial_powers(self, exps: ExponentVector, coeffs: Sequence[int]) -> list:
         """[c_0, c_1*x, c_2*x^2, ...] for the monomial x with exponents `exps`
@@ -467,7 +430,7 @@ class Ring:
 
     def is_constant(self, a) -> bool:
         a = self.coerce(a)
-        return True if self.is_integers else a.is_constant()
+        return self.is_integers or not any(a._terms)
 
     def format_element(self, a) -> str:
         return str(self.coerce(a))

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from typing import List, Sequence, Tuple
 
-from .rings import Ring
+from .rings import Ring, power_by_squaring
 
 
 class RingMismatchError(ValueError):
@@ -52,7 +52,7 @@ class TruncatedSeries:
         raise AttributeError("TruncatedSeries is immutable")
 
     @classmethod
-    def _raw(cls, ring: Ring, coefficients: list) -> "TruncatedSeries":
+    def _raw(cls, ring: Ring, coefficients: Sequence) -> "TruncatedSeries":
         # Fast path for results whose coefficients are already elements of
         # `ring`: no per-coefficient coerce.
         self = object.__new__(cls)
@@ -94,7 +94,7 @@ class TruncatedSeries:
         _check_order(order)
         if order >= self.order:
             return self
-        return TruncatedSeries(self.ring, self.coefficients[: order + 1])
+        return TruncatedSeries._raw(self.ring, self.coefficients[: order + 1])
 
     def is_unit(self) -> bool:
         return self.coefficients[0] == self.ring.one
@@ -112,13 +112,13 @@ class TruncatedSeries:
 
     def __add__(self, other: "TruncatedSeries") -> "TruncatedSeries":
         self._common(other)
-        return TruncatedSeries(
+        return TruncatedSeries._raw(
             self.ring, [a + b for a, b in zip(self.coefficients, other.coefficients)]
         )
 
     def __sub__(self, other: "TruncatedSeries") -> "TruncatedSeries":
         self._common(other)
-        return TruncatedSeries(
+        return TruncatedSeries._raw(
             self.ring, [a - b for a, b in zip(self.coefficients, other.coefficients)]
         )
 
@@ -189,15 +189,7 @@ class TruncatedSeries:
             base = self
         if n == 0:
             return TruncatedSeries.one(self.ring, self.order)
-        # square only while bits of n remain, as in SparsePolynomial.__pow__
-        result = None
-        while True:
-            if n & 1:
-                result = base if result is None else result * base
-            n >>= 1
-            if not n:
-                return result
-            base = base * base
+        return power_by_squaring(base, n)
 
     def eq_mod(self, other: "TruncatedSeries", k: int) -> bool:
         """True iff the coefficients of t^0..t^{k-1} agree."""

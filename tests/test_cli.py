@@ -270,6 +270,23 @@ def test_oracle_enumerates_only_profiles_that_can_contribute(monkeypatch):
     assert lines[60:] == ["verdict: agree"]
 
 
+def test_oracle_skips_profiles_with_an_empty_coefficient_set(monkeypatch):
+    # X_2 is empty, so every profile with a part 2 adds 0 orbits
+    calls = counting_kernel(monkeypatch)
+    rc, out, err = run(
+        ["oracle", "--m-size", "3", "--target-size", "2", "--coeff-sizes", "2,0,1",
+         "--order", "5"]
+    )
+    assert (rc, err, len(calls)) == (0, "", 6)
+    assert out == (
+        "t^1: oracle=6 formula=6\nt^2: oracle=12 formula=12\n"
+        "t^3: oracle=11 formula=11\nt^4: oracle=12 formula=12\n"
+        "t^5: oracle=12 formula=12\nverdict: agree\n"
+    )
+    # a block is (k_i, |X_i|, X_i's map, its target size)
+    assert all(size for _m, _values, blocks in calls for _k, size, _x, _t in blocks)
+
+
 @pytest.mark.parametrize("module", ["powerstruct", "powerstruct.cli"])
 def test_python_m_runs_the_cli(module):
     src = str(Path(powerstruct.__file__).resolve().parent.parent)

@@ -198,7 +198,7 @@ def packed_operands(rng, variables):
         )
 
     out = [
-        SparsePolynomial.zero(variables),
+        SparsePolynomial(variables, {}),
         SparsePolynomial.constant(variables, rng.randint(2, 9)),
         SparsePolynomial.constant(variables, 1),
         SparsePolynomial.constant(variables, -1),

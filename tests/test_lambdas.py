@@ -218,7 +218,12 @@ def test_bounded_charge_profiles_are_the_filtered_unbounded_ones():
                         and (max_parts is None or sum(p.values()) <= max_parts)
                         and (parts is None or set(p) <= set(parts))
                     ]
-                    got = list(charge_profiles(k, max_part, max_parts, parts=parts))
+                    # the largest-part bound is given as a restriction of the parts
+                    bounded = parts
+                    if max_part is not None:
+                        candidates = range(1, k + 1) if parts is None else parts
+                        bounded = [p for p in candidates if p <= max_part]
+                    got = list(charge_profiles(k, max_parts, parts=bounded))
                     assert got == expected
 
 

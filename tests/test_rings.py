@@ -3,6 +3,8 @@ from collections.abc import Mapping
 
 import pytest
 
+from powerstruct.finite_model import FiniteMap
+from powerstruct.lambdas import LambdaStructure
 from powerstruct.parsing import parse_polynomial
 from powerstruct.rings import (
     ArityError,
@@ -13,6 +15,7 @@ from powerstruct.rings import (
     SparsePolynomial,
     UnboundVariableError,
 )
+from powerstruct.series import TruncatedSeries
 
 from _gen import random_element
 
@@ -38,7 +41,7 @@ def test_difference_of_squares():
 
 def test_zero_absorbs():
     rng = random.Random(1)
-    zero = SparsePolynomial.zero(("u", "v"))
+    zero = UV.zero
     for _ in range(10):
         p = random_element(rng, UV)
         assert zero * p == zero
@@ -71,7 +74,7 @@ def test_ring_axioms_random_triples():
 
 def test_substitute_monomials():
     p = SparsePolynomial(("L",), {(0,): 1, (1,): 1, (2,): 1})  # 1 + L + L^2
-    uv = SparsePolynomial.monomial(("u", "v"), (1, 1))
+    uv = UV.monomial((1, 1))
     image = p.substitute(UV, {"L": uv})
     assert image == poly({(0, 0): 1, (1, 1): 1, (2, 2): 1})
 
@@ -91,7 +94,7 @@ def test_substitute_is_ring_homomorphism():
     # independent oracle: map each polynomial through substitution separately
     # and compare with the substituted product/sum
     rng = random.Random(11)
-    uv = SparsePolynomial.monomial(("u", "v"), (1, 1))
+    uv = UV.monomial((1, 1))
     bindings_int = {"u": 2, "v": -1}
     for _ in range(50):
         a = random_element(rng, UV, max_degree=3, coeff_bound=5)
@@ -102,7 +105,7 @@ def test_substitute_is_ring_homomorphism():
             assert (a * b).substitute(target, bindings) == sa * sb
             assert (a + b).substitute(target, bindings) == sa + sb
     assert SparsePolynomial.constant(("u", "v"), 1).substitute(INTEGERS, bindings_int) == 1
-    assert SparsePolynomial.zero(("u", "v")).substitute(INTEGERS, bindings_int) == 0
+    assert UV.zero.substitute(INTEGERS, bindings_int) == 0
     # polynomial-valued bindings commute with arithmetic too
     for _ in range(20):
         a = random_element(rng, L_RING, max_degree=3, coeff_bound=5)
@@ -116,7 +119,7 @@ def test_grlex_formatting():
     p = SparsePolynomial(("u", "v"), {(2, 0): 1, (1, 1): 1, (0, 2): 1, (0, 0): 3})
     assert str(p) == "3 + u^2 + u*v + v^2"
     assert str(SparsePolynomial(("u", "v"), {(1, 1): -1, (2, 1): 1})) == "-u*v + u^2*v"
-    assert str(SparsePolynomial.zero(("u", "v"))) == "0"
+    assert str(UV.zero) == "0"
 
 
 def test_ring_names_and_coercion():
@@ -154,6 +157,49 @@ def test_terms_is_a_read_only_tuple_keyed_view():
     with pytest.raises(TypeError):
         terms[(5, 5)] = 1
     assert list(p.sorted_terms()) == [((0, 0), 7), ((0, 1), -1), ((2, 0), 3)]
+
+
+def test_equal_polynomials_hash_equal_however_they_are_built():
+    u, v = UV.gen("u"), UV.gen("v")
+    groups = [
+        [u, UV.monomial((1, 0)), poly({(1, 0): 1}), (u + v) - v, u * UV.one, -(-u)],
+        [UV.from_int(3), UV.monomial((0, 0), 3), SparsePolynomial.constant(UV.variables, 3),
+         poly({(0, 0): 3}), UV.one + UV.one + UV.one, UV.coerce(3)],
+        [UV.zero, UV.from_int(0), poly({}), poly({(1, 1): 0}), u - u, UV.monomial((2, 1), 0)],
+        [u**2 * v, UV.monomial((2, 1)), poly({(2, 1): 1, (0, 0): 0}), u * v * u],
+    ]
+    for group in groups:
+        for p in group:
+            assert p == group[0] and hash(p) == hash(group[0])
+        assert len(set(group)) == 1
+    assert len({group[0] for group in groups}) == len(groups)
+
+
+@pytest.mark.parametrize("ring, name", [(INTEGERS, "u"), (UV, "w"), (UV, "t"), (L_RING, "u")])
+def test_gen_of_a_name_outside_the_ring_is_unbound(ring, name):
+    with pytest.raises(UnboundVariableError):
+        ring.gen(name)
+
+
+IMMUTABLE = {
+    "SparsePolynomial": lambda: UV.gen("u"),
+    "TruncatedSeries": lambda: TruncatedSeries(UV, [1, UV.gen("v")]),
+    "Ring": lambda: Ring(("u", "v")),
+    "LambdaStructure": lambda: LambdaStructure("kapranov", INTEGERS),
+    "FiniteMap": lambda: FiniteMap(2, 1, [0, 0]),
+}
+
+
+@pytest.mark.parametrize("build", IMMUTABLE.values(), ids=IMMUTABLE.keys())
+def test_setting_any_attribute_raises(build):
+    value = build()
+    slots = type(value).__slots__
+    before = [getattr(value, name) for name in slots]
+    for name in (*slots, "extra"):
+        with pytest.raises(AttributeError):
+            setattr(value, name, None)
+    assert [getattr(value, name) for name in slots] == before
+    assert not hasattr(value, "extra")
 
 
 def count_products(monkeypatch, cls):
