@@ -177,13 +177,12 @@ def _cmd_oracle(args, out) -> int:
     series = TruncatedSeries(
         INTEGERS, [1] + sizes + [0] * max(0, args.order - len(sizes))
     ).truncate(args.order)
-    formula = integer_power_formula(series, args.m_size)
     check_budget(exponent, coeffs, args.order, args.budget)
     oracle_values = [
         geometric_power_coefficient(exponent, coeffs, k, budget=args.budget)
         for k in range(1, args.order + 1)
     ]
-    formula_values = [formula.coefficients[k] for k in range(1, args.order + 1)]
+    formula_values = list(integer_power_formula(series, args.m_size).coefficients[1:])
     verdict = "agree" if oracle_values == formula_values else "disagree"
     if args.format == "json":
         payload = {

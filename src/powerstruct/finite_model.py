@@ -17,7 +17,7 @@ from typing import List, Optional, Sequence, Tuple
 
 from . import kernels
 from .lambdas import charge_profiles, LambdaStructure, power
-from .rings import INTEGERS
+from .rings import INTEGERS, Immutable
 from .series import TruncatedSeries
 
 DEFAULT_BUDGET = 10**7
@@ -35,7 +35,7 @@ class FiniteSeriesCheckError(RuntimeError):
     """A finite-model series disagrees with the algebraic power structure."""
 
 
-class FiniteMap:
+class FiniteMap(Immutable):
     """A map between explicit finite sets {0..n-1} -> {0..q-1}."""
 
     __slots__ = ("source_size", "target_size", "values")
@@ -51,9 +51,6 @@ class FiniteMap:
         object.__setattr__(self, "source_size", source_size)
         object.__setattr__(self, "target_size", target_size)
         object.__setattr__(self, "values", values)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("FiniteMap is immutable")
 
     @classmethod
     def identity(cls, n: int) -> "FiniteMap":

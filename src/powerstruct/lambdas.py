@@ -15,8 +15,8 @@ Every unit series factors uniquely as prod_i lambda_{b_i}(t^i).  Exp builds
 that product; Log peels it degree by degree, multiplying by
 lambda_{-b_k}(t^k) = lambda_{b_k}(t^k)^{-1}, so it takes no series inverse.
 Scaling each b_i by a ring element m and recombining is the power structure
-attached to the lambda-structure.  The closed-form integer power (partition
-sum over charge profiles) is implemented independently as a cross-check.
+attached to the lambda-structure.  The closed-form integer power (charge
+profiles summed by shared prefix) is implemented independently as a check.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from __future__ import annotations
 import math
 from typing import Dict, Iterable, Iterator, List, Sequence
 
-from .rings import Ring
+from .rings import Immutable, Ring
 from .series import NonUnitError, TruncatedSeries
 
 LAMBDA_KINDS = ("kapranov", "binomial", "opposite", "poly-product")
@@ -35,7 +35,7 @@ class UnsupportedLambdaError(ValueError):
     """The exponent is outside the domain of the chosen lambda-structure."""
 
 
-class LambdaStructure:
+class LambdaStructure(Immutable):
     __slots__ = ("kind", "ring")
 
     def __init__(self, kind: str, ring: Ring):
@@ -43,9 +43,6 @@ class LambdaStructure:
             raise ValueError(f"unknown lambda kind {kind!r}; choose from {LAMBDA_KINDS}")
         object.__setattr__(self, "kind", kind)
         object.__setattr__(self, "ring", ring)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("LambdaStructure is immutable")
 
     def __repr__(self) -> str:
         return f"LambdaStructure({self.kind}, {self.ring.name})"
@@ -191,29 +188,33 @@ def integer_power_formula(A: TruncatedSeries, m: int) -> TruncatedSeries:
     """Closed-form (1 + a_1 t + ...)^m for an integer exponent.
 
     Coefficient of t^k is the sum over charge profiles {k_i} with
-    sum i*k_i = k of binom(m, s) * s!/(prod k_i!) * prod a_i^{k_i}, s = sum k_i.
-    The combinatorial factor is assembled from integers only, so the result
-    stays in the coefficient ring.
+    sum i*k_i = k of binom(m, s) * s!/(prod k_i!) * prod a_i^{k_i}, s = sum k_i,
+    summed by shared prefix: table[k][s] holds s!/(prod k_j!) * prod a_j^{k_j}
+    summed over the partial profiles of weight k with s parts as the charges
+    join one at a time.  Charges with a_i = 0 are skipped and s stops at m when
+    m >= 0, so order N takes O(N^3 log N) ring operations, with integer factors
+    and no series product, power or lambda-structure.
     """
     if not A.is_unit():
         raise NonUnitError("the integer power formula needs constant term 1")
     if not isinstance(m, int) or isinstance(m, bool):
         raise TypeError("the exponent of integer_power_formula must be an int")
-    ring = A.ring
-    # a profile with a part i where a_i = 0, or with s > m >= 0 parts, adds 0
-    parts = [i for i, a in enumerate(A.coefficients) if i and a]
-    max_parts = m if m >= 0 else None
-    out = [ring.one] + [ring.zero] * A.order
-    for k in range(1, A.order + 1):
-        acc = ring.zero
-        for profile in charge_profiles(k, max_parts=max_parts, parts=parts):
-            s = sum(profile.values())
-            factor = generalized_binomial(m, s) * math.factorial(s)
-            term = None
-            for i, k_i in sorted(profile.items()):
-                factor //= math.factorial(k_i)
-                p = A.coefficients[i] ** k_i
-                term = p if term is None else term * p
-            acc = acc + ring.from_int(factor) * term
-        out[k] = acc
+    ring, order = A.ring, A.order
+    cap = order if m < 0 else min(m, order)
+    table = [[ring.zero] * (cap + 1) for _ in range(order + 1)]
+    table[0][0] = ring.one
+    for i, a in enumerate(A.coefficients):
+        if not i or not a:
+            continue
+        # c more of charge i: s parts -> s + c parts, times binom(s+c, c) * a^c
+        before, power = [row[:] for row in table], ring.one
+        for c in range(1, min(order // i, cap) + 1):
+            power = power * a
+            for s in range(min(cap - c, order - c * i) + 1):
+                w = ring.from_int(math.comb(s + c, c)) * power
+                for source, row in zip(before[s:], table[c * i + s :]):
+                    if source[s]:
+                        row[s + c] = row[s + c] + w * source[s]
+    binoms = [ring.from_int(generalized_binomial(m, s)) for s in range(cap + 1)]
+    out = [sum((b * e for b, e in zip(binoms, row) if e), ring.zero) for row in table]
     return TruncatedSeries._raw(ring, out)

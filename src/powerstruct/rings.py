@@ -104,6 +104,18 @@ def power_by_squaring(base, n: int):
         base = base * base
 
 
+class Immutable:
+    """Base of the value classes: setting or deleting any attribute raises."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+
 class TermMap(Mapping):
     """Read-only view of a polynomial's terms keyed by exponent tuples.
 
@@ -135,7 +147,7 @@ class TermMap(Mapping):
         return self._packed.values()
 
 
-class SparsePolynomial:
+class SparsePolynomial(Immutable):
     """A multivariate integer polynomial in normalized sparse form.
 
     `terms` maps exponent vectors to nonzero integer coefficients; the zero
@@ -161,9 +173,6 @@ class SparsePolynomial:
                     del normalized[key]
         object.__setattr__(self, "variables", variables)
         object.__setattr__(self, "_terms", normalized)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("SparsePolynomial is immutable")
 
     @classmethod
     def _raw(cls, variables: Tuple[str, ...], terms: Dict[int, int]):
@@ -319,7 +328,7 @@ class SparsePolynomial:
         return f"SparsePolynomial({self.variables!r}, {self})"
 
 
-class Ring:
+class Ring(Immutable):
     """Z (empty variable list) or Z[x1,...,xr].
 
     Z is semantically the arity-0 polynomial ring but its elements are plain
@@ -334,9 +343,6 @@ class Ring:
         object.__setattr__(self, "variables", tuple(variables))
         if len(set(self.variables)) != len(self.variables):
             raise ValueError(f"duplicate variables in {self.variables}")
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Ring is immutable")
 
     @property
     def is_integers(self) -> bool:

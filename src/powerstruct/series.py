@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from typing import List, Sequence, Tuple
 
-from .rings import Ring, power_by_squaring
+from .rings import Immutable, Ring, power_by_squaring
 
 
 class RingMismatchError(ValueError):
@@ -34,7 +34,7 @@ def _check_order(order: int) -> None:
         raise ValueError(f"order must be nonnegative, got {order}")
 
 
-class TruncatedSeries:
+class TruncatedSeries(Immutable):
     __slots__ = ("ring", "coefficients")
 
     def __init__(self, ring: Ring, coefficients: Sequence):
@@ -47,9 +47,6 @@ class TruncatedSeries:
         object.__setattr__(
             self, "coefficients", tuple([ring.coerce(c) for c in coefficients])
         )
-
-    def __setattr__(self, name, value):
-        raise AttributeError("TruncatedSeries is immutable")
 
     @classmethod
     def _raw(cls, ring: Ring, coefficients: Sequence) -> "TruncatedSeries":

@@ -6,10 +6,12 @@ multiplication, the per-kind lambda series (one branch per lambda kind),
 the factor-by-factor Log/Exp that build every factor lambda_b(t^k) to the
 full order N before rescaling and invert it for Log, the punctual Hilbert
 series as a product of inverted binomials, the brute-force orbit count that
-visits every element of every orbit, and the two-stage parser that builds
-an AST, walks it once to infer the ring and again to evaluate it.  They are kept only so tests can compare the fast
-routes against them; they share no lambda code with the library but
-generalized_binomial, and the parser shares only the tokenizer.
+visits every element of every orbit, the two-stage parser that builds an
+AST, walks it once to infer the ring and again to evaluate it, and the
+closed-form integer power summed one charge profile at a time.  They are kept
+only so tests can compare the fast routes against them; they share no lambda
+code with the library but charge_profiles and generalized_binomial, and the
+parser shares only the tokenizer.
 """
 
 import itertools
@@ -18,7 +20,12 @@ import sys
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from powerstruct.kernels import Block, OrbitCheckError
-from powerstruct.lambdas import LambdaStructure, UnsupportedLambdaError, generalized_binomial
+from powerstruct.lambdas import (
+    LambdaStructure,
+    UnsupportedLambdaError,
+    charge_profiles,
+    generalized_binomial,
+)
 from powerstruct.parsing import ParseError, _tokenize
 from powerstruct.rings import ArityError, ExponentVector, Ring, UnboundVariableError
 from powerstruct.series import NonUnitError, TruncatedSeries
@@ -482,3 +489,32 @@ def two_stage_parse_series(
             continue
         coeffs[d] = c
     return TruncatedSeries(ring, coeffs)
+
+
+def profile_by_profile_integer_power(A: TruncatedSeries, m: int) -> TruncatedSeries:
+    """Closed-form (1 + a_1 t + ...)^m, one charge profile at a time.
+
+    Coefficient of t^k is the sum over charge profiles {k_i} with
+    sum i*k_i = k of binom(m, s) * s!/(prod k_i!) * prod a_i^{k_i}, s = sum k_i;
+    only profiles whose parts index nonzero a_i, with at most m parts when
+    m >= 0, are visited.
+    """
+    if not A.is_unit():
+        raise NonUnitError("the integer power formula needs constant term 1")
+    ring = A.ring
+    parts = [i for i, a in enumerate(A.coefficients) if i and a]
+    max_parts = m if m >= 0 else None
+    out = [ring.one] + [ring.zero] * A.order
+    for k in range(1, A.order + 1):
+        acc = ring.zero
+        for profile in charge_profiles(k, max_parts=max_parts, parts=parts):
+            s = sum(profile.values())
+            factor = generalized_binomial(m, s) * math.factorial(s)
+            term = None
+            for i, k_i in sorted(profile.items()):
+                factor //= math.factorial(k_i)
+                p = A.coefficients[i] ** k_i
+                term = p if term is None else term * p
+            acc = acc + ring.from_int(factor) * term
+        out[k] = acc
+    return TruncatedSeries(ring, out)

@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import powerstruct
-from powerstruct import kernels
+from powerstruct import cli, kernels
 from powerstruct.cli import main
 
 
@@ -255,6 +255,20 @@ def test_over_budget_run_is_refused_before_any_enumeration(monkeypatch):
         "error: profile {1: 2, 2: 2, 3: 1} needs 120960 orbit representatives "
         "(budget 100000)\n"
     )
+
+
+def test_over_budget_oracle_is_refused_before_the_formula_runs(monkeypatch):
+    def formula(*args):
+        pytest.fail("integer_power_formula ran before the budget refused the run")
+
+    monkeypatch.setattr(cli, "integer_power_formula", formula)
+    calls = counting_kernel(monkeypatch)
+    rc, out, err = run(
+        ["oracle", "--m-size", "12", "--target-size", "1", "--coeff-sizes",
+         ",".join(["1"] * 60), "--order", "60", "--budget", "10"]
+    )
+    assert (rc, out, len(calls)) == (2, "", 0)
+    assert err == "error: profile {1: 1} needs 12 orbit representatives (budget 10)\n"
 
 
 def test_oracle_enumerates_only_profiles_that_can_contribute(monkeypatch):

@@ -1,6 +1,7 @@
 """The packed-key polynomial arithmetic, the sparse series arithmetic, the
-direct lambda factors, the signed-product lambda series and the short-factor
-Log/Exp equal the slow reference routes of tests/_reference.py exactly."""
+direct lambda factors, the signed-product lambda series, the short-factor
+Log/Exp and the prefix-grouped integer power formula equal the slow reference
+routes of tests/_reference.py exactly."""
 
 import random
 
@@ -13,6 +14,7 @@ from powerstruct.lambdas import (
     _one_minus_xt_power,
     decompose_product,
     exp_map,
+    integer_power_formula,
     lambda_series,
     power,
 )
@@ -41,6 +43,7 @@ from _reference import (
     full_order_power,
     generic_one_minus_xt_power,
     per_kind_lambda_series,
+    profile_by_profile_integer_power,
 )
 
 UV = Ring(("u", "v"))
@@ -154,6 +157,44 @@ def test_log_and_power_of_dense_polynomial_series(kind):
         assert decompose_product(A, lam) == full_order_decompose(A, lam)
         m = UV.one + UV.gen(rng.choice(["u", "v"]))
         assert power(A, m, lam) == full_order_power(A, m, lam)
+
+
+def formula_bases(rng, ring, order):
+    """Unit series whose a_i are all positive, all nonzero of mixed signs,
+    mostly zero, and random (zero, multi-term or of either sign)."""
+
+    def nonzero(signs):
+        c = rng.randint(1, 3) * rng.choice(signs)
+        return c if ring.is_integers else ring.monomial((rng.randint(0, 1), rng.randint(0, 1)), c)
+
+    return [
+        TruncatedSeries(ring, [1] + [nonzero([1]) for _ in range(order)]),
+        TruncatedSeries(ring, [1] + [nonzero([1, -1]) for _ in range(order)]),
+        sparse_unit_series(rng, ring, order, nonzero_p=0.25),
+        random_unit_series(rng, ring, order, max_degree=1, max_terms=2, coeff_bound=2),
+    ]
+
+
+@pytest.mark.parametrize("ring_name", RINGS)
+def test_integer_power_formula_equals_the_profile_by_profile_route(ring_name):
+    ring = RINGS[ring_name]
+    rng = random.Random(f"formula {ring_name}")
+    for order in range(17):
+        for m in range(-7, 8):  # m = 0, and m > order for every order below 7
+            for A in formula_bases(rng, ring, order):
+                got = integer_power_formula(A, m)
+                assert got == profile_by_profile_integer_power(A, m), (order, m, A)
+                assert got.order == order
+    # an exponent far above the order: every profile has at most `order` parts
+    A = formula_bases(rng, ring, 5)[1]
+    assert integer_power_formula(A, 40) == profile_by_profile_integer_power(A, 40)
+
+
+@pytest.mark.parametrize("m", [-3, 5])
+def test_integer_power_formula_at_order_64(m):
+    rng = random.Random(64 + m)
+    for A in formula_bases(rng, INTEGERS, 64)[:3]:
+        assert integer_power_formula(A, m) == A.int_pow(m)
 
 
 def test_rescale_to_a_target_order():

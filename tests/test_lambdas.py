@@ -14,7 +14,7 @@ from powerstruct.lambdas import (
     log_map,
     power,
 )
-from powerstruct.rings import INTEGERS, Ring
+from powerstruct.rings import INTEGERS, Ring, SparsePolynomial
 from powerstruct.series import NonUnitError, TruncatedSeries
 
 from _gen import random_element, random_unit_series, sparse_element, sparse_unit_series
@@ -252,29 +252,34 @@ def test_integer_power_formula_matches_repeated_multiplication():
 
 
 def test_integer_power_formula_visits_only_contributing_profiles(monkeypatch):
-    from powerstruct import lambdas
+    # a profile with a part i where a_i = 0, or with more than m >= 0 parts,
+    # adds 0, and the grouped sum builds no table entry for either
+    ring = Ring(("a",))
+    a = ring.gen("a")
+    sparse = TruncatedSeries(ring, [ring.one] + [ring.zero] * 39 + [a])  # 1 + a*t^40
+    sparse_expected = sparse.int_pow(-2)
+    rng = random.Random(254)
+    dense = TruncatedSeries(
+        ring, [ring.one] + [ring.from_int(rng.choice([-2, -1, 1, 2])) * a for _ in range(16)]
+    )
+    expected = {m: dense.int_pow(m) for m in (0, 1, 2, 3, 5)}
 
-    visited = []
-    enumerate_profiles = lambdas.charge_profiles
+    degrees = []  # the degree in a of every product
+    mul = SparsePolynomial.__mul__
 
-    def counting(*args, **kwargs):
-        for profile in enumerate_profiles(*args, **kwargs):
-            visited.append(profile)
-            yield profile
+    def recording(self, other):
+        product = mul(self, other)
+        degrees.append(max((e for (e,) in product.terms), default=0))
+        return product
 
-    monkeypatch.setattr(lambdas, "charge_profiles", counting)
-    sparse = S([1] + [0] * 39 + [1])  # 1 + t^40
-    assert integer_power_formula(sparse, -2) == sparse.int_pow(-2)
-    assert visited == [{40: 1}]
-
-    for coeffs, m in [([1, 0, 3, 0, 0, -1] + [0] * 8, -3), ([1, 0, 3, 0, 0, -1] + [0] * 8, 4),
-                      ([1, 2, 0, 0, 1, 0, 0, 0, 0], -1)]:
-        A = S(coeffs)
-        visited.clear()
-        assert integer_power_formula(A, m) == A.int_pow(m)
-        nonzero = {i for i, a in enumerate(coeffs) if i and a}
-        contributing = [
-            p for k in range(1, A.order + 1) for p in enumerate_profiles(k)
-            if set(p) <= nonzero and (m < 0 or sum(p.values()) <= m)
-        ]
-        assert visited == contributing
+    monkeypatch.setattr(SparsePolynomial, "__mul__", recording)
+    assert integer_power_formula(sparse, -2) == sparse_expected
+    # charge 40 alone: a^1, one weight, one table entry and the read-outs of
+    # t^0 and t^40; each of the 39 zero charges would add products of its own
+    assert len(degrees) <= 5
+    # every a_i is a multiple of a, so a table entry with s parts has degree s
+    # in a: no product above degree m means no entry with more than m parts
+    for m, want in expected.items():
+        degrees.clear()
+        assert integer_power_formula(dense, m) == want
+        assert max(degrees, default=0) == m

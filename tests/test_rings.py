@@ -202,6 +202,17 @@ def test_setting_any_attribute_raises(build):
     assert not hasattr(value, "extra")
 
 
+@pytest.mark.parametrize("build", IMMUTABLE.values(), ids=IMMUTABLE.keys())
+def test_deleting_any_attribute_raises(build):
+    value = build()
+    slots = type(value).__slots__
+    before = [getattr(value, name) for name in slots]
+    for name in (*slots, "extra"):
+        with pytest.raises(AttributeError, match=f"^{type(value).__name__} is immutable$"):
+            delattr(value, name)
+    assert [getattr(value, name) for name in slots] == before
+    assert repr(value) == repr(build())
+
 def count_products(monkeypatch, cls):
     calls = []
     mul = cls.__mul__
