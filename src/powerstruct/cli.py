@@ -5,7 +5,8 @@ text (one line per coefficient) or JSON with the schema
 {"ring": str, "order": int, "coefficients": [str]}; coefficients are printed
 in graded-lexicographic normal form.  Exit codes: 0 success, 1 usage or parse
 error, 2 computation error (non-unit series, enumeration budget exceeded, an
-exponent above the per-variable degree limit, a failed internal cross-check).
+exponent above the per-variable degree limit, a failed internal cross-check
+or exact division).
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ from .lambdas import (
 )
 from .motivic import HODGE_RING, hilb_local_surface, hilb_surface, hodge_zeta, specialize_series
 from .parsing import ParseError, parse_polynomial, parse_ring, parse_series
-from .rings import ArityError, DegreeOverflowError, INTEGERS, Ring
+from .rings import ArityError, DegreeOverflowError, INTEGERS, InexactDivisionError, Ring
 from .series import NonUnitError, RingMismatchError, TruncatedSeries
 
 
@@ -222,6 +223,7 @@ def main(argv: Optional[Sequence[str]] = None, out=None, err=None) -> int:
         return 1
     except (
         DegreeOverflowError,
+        InexactDivisionError,
         NonUnitError,
         RingMismatchError,
         UnsupportedLambdaError,

@@ -17,7 +17,7 @@ from typing import List, Optional, Sequence, Tuple
 
 from . import kernels
 from .lambdas import charge_profiles, LambdaStructure, power
-from .rings import INTEGERS, Immutable
+from .rings import INTEGERS, Immutable, exact_quotient
 from .series import TruncatedSeries
 
 DEFAULT_BUDGET = 10**7
@@ -216,7 +216,7 @@ def _profile_blocks(m_size: int, coeffs: Sequence[FiniteMap], k: int, budget: in
         blocks = []
         for i, k_i in sorted(profile.items()):
             x = coeffs[i - 1]
-            reps = reps * x.source_size**k_i // math.factorial(k_i)  # exact division
+            reps = exact_quotient(reps * x.source_size**k_i, math.factorial(k_i))
             blocks.append((k_i, x.source_size, x.values, x.target_size))
         if reps > budget:
             raise BudgetExceededError(

@@ -24,8 +24,8 @@ from __future__ import annotations
 import math
 from typing import Dict, Iterable, Iterator, List, Sequence
 
-from .rings import Immutable, Ring
-from .series import NonUnitError, TruncatedSeries
+from .rings import Immutable, Ring, exact_quotient
+from .series import NonUnitError, TruncatedSeries, _check_order
 
 LAMBDA_KINDS = ("kapranov", "binomial", "opposite", "poly-product")
 _SIGN = {"kapranov": 1, "binomial": -1, "opposite": -1, "poly-product": 1}
@@ -55,7 +55,7 @@ def _one_minus_xt_power(ring: Ring, exps, c: int, e: int, order: int) -> Truncat
     coeffs = [1]
     for j in range(1, order + 1):
         # (-c)^j binom(e, j) = (-c)^(j-1) binom(e, j-1) * (-c)(e-j+1) / j, exactly
-        coeffs.append(coeffs[-1] * -c * (e - j + 1) // j)
+        coeffs.append(exact_quotient(coeffs[-1] * -c * (e - j + 1), j))
     return TruncatedSeries._raw(ring, ring.monomial_powers(exps, coeffs))
 
 
@@ -74,6 +74,10 @@ def lambda_series(lam: LambdaStructure, a, order: int) -> TruncatedSeries:
     ring = lam.ring
     a = ring.coerce(a)
     _check_domain(lam, a)
+    if order <= 1:
+        _check_order(order)
+        # every lambda-structure has lambda_a(t) = 1 + a*t + O(t^2)
+        return TruncatedSeries._raw(ring, [ring.one, a][: order + 1])
     sign = _SIGN[lam.kind]
     result = None
     for exps, p in ring.terms(a):

@@ -15,7 +15,7 @@ from __future__ import annotations
 from collections.abc import Mapping
 from functools import lru_cache, reduce
 from operator import or_
-from typing import Dict, Iterable, Iterator, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, Sequence, Tuple
 
 ExponentVector = Tuple[int, ...]
 
@@ -35,6 +35,10 @@ class ArityError(ValueError):
 
 class UnboundVariableError(KeyError):
     """A substitution did not bind every variable of the polynomial."""
+
+
+class InexactDivisionError(ArithmeticError):
+    """A division that must be exact left a remainder."""
 
 
 class DegreeOverflowError(ValueError):
@@ -80,6 +84,14 @@ def _check_degrees(variables: Tuple[str, ...], terms: Dict[int, int]) -> None:
             for v, e in zip(variables, _unpack(key, len(variables))):
                 if e > MAX_EXPONENT:
                     raise DegreeOverflowError(v, e)
+
+
+def exact_quotient(n: int, d: int) -> int:
+    """n / d where d must divide n; a remainder raises InexactDivisionError."""
+    q, r = divmod(n, d)
+    if r:
+        raise InexactDivisionError(f"{n} / {d} leaves the remainder {r}")
+    return q
 
 
 def _grlex_key(exps: ExponentVector):
@@ -171,15 +183,15 @@ class SparsePolynomial(Immutable):
                     normalized[key] = acc
                 else:
                     del normalized[key]
-        object.__setattr__(self, "variables", variables)
-        object.__setattr__(self, "_terms", normalized)
+        _set_variables(self, variables)
+        _set_terms(self, normalized)
 
     @classmethod
     def _raw(cls, variables: Tuple[str, ...], terms: Dict[int, int]):
         # Fast path for arithmetic: packed keys, no zero coefficients.
         self = object.__new__(cls)
-        object.__setattr__(self, "variables", variables)
-        object.__setattr__(self, "_terms", terms)
+        _set_variables(self, variables)
+        _set_terms(self, terms)
         return self
 
     @property
@@ -328,6 +340,12 @@ class SparsePolynomial(Immutable):
         return f"SparsePolynomial({self.variables!r}, {self})"
 
 
+# Slot setters for the constructors: they write past Immutable.__setattr__
+# without the name lookup that object.__setattr__ does on every call.
+_set_variables = SparsePolynomial.__dict__["variables"].__set__
+_set_terms = SparsePolynomial.__dict__["_terms"].__set__
+
+
 class Ring(Immutable):
     """Z (empty variable list) or Z[x1,...,xr].
 
@@ -406,6 +424,50 @@ class Ring(Immutable):
                 raise DegreeOverflowError(v, e * top)
         raw = SparsePolynomial._raw
         return [raw(variables, {j * key: c} if c else {}) for j, c in enumerate(coeffs)]
+
+    def convolve(self, left: Sequence[Tuple[int, object]],
+                 right: Sequence[Tuple[int, object]], n: int) -> list:
+        """Coefficients 0..n of the product of two coefficient sequences, each
+        given as (index, nonzero element) pairs in ascending index order.
+
+        Over Z[x...] every term pair of every coefficient pair is added into
+        one packed-key map per output coefficient, with no intermediate
+        polynomial.  Each map's keys are checked for a degree overflow before
+        its zero coefficients are dropped, so a product raises
+        DegreeOverflowError even where its overflowing monomials cancel.
+        """
+        if self.is_integers:
+            out = [0] * (n + 1)
+            for i, ci in left:
+                for j, cj in right:
+                    k = i + j
+                    if k > n:
+                        break
+                    out[k] += ci * cj
+            return out
+        variables = self.variables
+        sums: List[Dict[int, int]] = [{} for _ in range(n + 1)]
+        right_terms = [(j, list(cj._terms.items())) for j, cj in right]
+        for i, ci in left:
+            terms_i = list(ci._terms.items())
+            for j, terms_j in right_terms:
+                k = i + j
+                if k > n:
+                    break
+                acc = sums[k]
+                get = acc.get
+                for e1, c1 in terms_i:
+                    for e2, c2 in terms_j:
+                        key = e1 + e2
+                        acc[key] = get(key, 0) + c1 * c2
+        raw = SparsePolynomial._raw
+        out = []
+        for acc in sums:
+            _check_degrees(variables, acc)
+            if 0 in acc.values():
+                acc = {e: c for e, c in acc.items() if c}
+            out.append(raw(variables, acc))
+        return out
 
     def coerce(self, x):
         """Accept ints always; polynomials only from this exact ring."""

@@ -6,7 +6,10 @@ order, so the finitely-determined property can be exercised directly.
 Storage is dense: orders stay small (<= ~64) at the scales this engine
 targets.  Products and inverses visit only the nonzero coefficients, because
 the factors of a Log/Exp decomposition are series in t^k, nonzero only at
-multiples of k.
+multiples of k.  A product is one Ring.convolve call: over Z[x...] it adds
+every term pair into one packed-key map per output coefficient, without an
+intermediate polynomial, and checks each map's degrees once, before its zero
+coefficients are dropped.
 """
 
 from __future__ import annotations
@@ -40,21 +43,19 @@ class TruncatedSeries(Immutable):
     def __init__(self, ring: Ring, coefficients: Sequence):
         if not coefficients:
             raise ValueError("a truncated series needs at least the t^0 coefficient")
-        object.__setattr__(self, "ring", ring)
+        _set_ring(self, ring)
         # tuple() of a list allocates the tuple at its final size; from a
         # generator it grows one in place, which strands short tuples on
         # the interpreter's per-size free lists and raises peak memory
-        object.__setattr__(
-            self, "coefficients", tuple([ring.coerce(c) for c in coefficients])
-        )
+        _set_coefficients(self, tuple([ring.coerce(c) for c in coefficients]))
 
     @classmethod
     def _raw(cls, ring: Ring, coefficients: Sequence) -> "TruncatedSeries":
         # Fast path for results whose coefficients are already elements of
         # `ring`: no per-coefficient coerce.
         self = object.__new__(cls)
-        object.__setattr__(self, "ring", ring)
-        object.__setattr__(self, "coefficients", tuple(coefficients))
+        _set_ring(self, ring)
+        _set_coefficients(self, tuple(coefficients))
         return self
 
     @property
@@ -121,19 +122,9 @@ class TruncatedSeries(Immutable):
 
     def __mul__(self, other: "TruncatedSeries") -> "TruncatedSeries":
         n = self._common(other)
-        left = _nonzero_terms(self.coefficients, n)
-        right = _nonzero_terms(other.coefficients, n)
-        out: List = [None] * (n + 1)
-        for i, ci in left:
-            for j, cj in right:
-                k = i + j
-                if k > n:
-                    break
-                p = ci * cj
-                acc = out[k]
-                out[k] = p if acc is None else acc + p
-        zero = self.ring.zero
-        return TruncatedSeries._raw(self.ring, [zero if c is None else c for c in out])
+        return TruncatedSeries._raw(self.ring, self.ring.convolve(
+            _nonzero_terms(self.coefficients, n), _nonzero_terms(other.coefficients, n), n
+        ))
 
     def invert(self) -> "TruncatedSeries":
         """Multiplicative inverse of a series with constant term 1."""
@@ -231,3 +222,8 @@ class TruncatedSeries(Immutable):
 
     def __repr__(self) -> str:
         return f"TruncatedSeries({self.ring.name}, N={self.order}, {self})"
+
+
+# The slot setters write past Immutable.__setattr__, for the constructors.
+_set_ring = TruncatedSeries.__dict__["ring"].__set__
+_set_coefficients = TruncatedSeries.__dict__["coefficients"].__set__

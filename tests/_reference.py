@@ -1,17 +1,19 @@
 """Slow reference routes that the fast series, lambda, Log/Exp and orbit paths must equal.
 
-These are the tuple-keyed polynomial arithmetic, the dense convolution,
-the dense inverse, the generic lambda factor (1 - x*t)^e built by ring
-multiplication, the per-kind lambda series (one branch per lambda kind),
-the factor-by-factor Log/Exp that build every factor lambda_b(t^k) to the
-full order N before rescaling and invert it for Log, the punctual Hilbert
-series as a product of inverted binomials, the brute-force orbit count that
-visits every element of every orbit, the two-stage parser that builds an
-AST, walks it once to infer the ring and again to evaluate it, and the
-closed-form integer power summed one charge profile at a time.  They are kept
-only so tests can compare the fast routes against them; they share no lambda
-code with the library but charge_profiles and generalized_binomial, and the
-parser shares only the tokenizer.
+These are the tuple-keyed polynomial arithmetic, the dense convolution, the
+operator-generic sparse product (one ring product and one ring sum per pair
+of nonzero coefficients), the dense inverse, the generic lambda factor
+(1 - x*t)^e built by ring multiplication, the per-kind lambda series (one
+branch per lambda kind), the factor-by-factor Log/Exp that build every
+factor lambda_b(t^k) to the full order N before rescaling and invert it for
+Log, the punctual Hilbert series as a product of inverted binomials, the
+brute-force orbit count that visits every element of every orbit, the
+two-stage parser that builds an AST, walks it once to infer the ring and
+again to evaluate it, and the closed-form integer power summed one charge
+profile at a time.  They are kept only so tests can compare the fast routes
+against them; they share no lambda code with the library but
+charge_profiles and generalized_binomial, and the parser shares only the
+tokenizer.
 """
 
 import itertools
@@ -44,6 +46,23 @@ def dense_mul(a: TruncatedSeries, b: TruncatedSeries) -> TruncatedSeries:
             acc = acc + ci * cj
         out.append(acc)
     return TruncatedSeries(ring, out)
+
+
+def sparse_mul(a: TruncatedSeries, b: TruncatedSeries) -> TruncatedSeries:
+    ring = a.ring
+    n = min(a.order, b.order)
+    left = [(i, c) for i, c in enumerate(a.coefficients[: n + 1]) if c]
+    right = [(j, c) for j, c in enumerate(b.coefficients[: n + 1]) if c]
+    out: List = [None] * (n + 1)
+    for i, ci in left:
+        for j, cj in right:
+            k = i + j
+            if k > n:
+                break
+            p = ci * cj
+            acc = out[k]
+            out[k] = p if acc is None else acc + p
+    return TruncatedSeries(ring, [ring.zero if c is None else c for c in out])
 
 
 def dense_invert(a: TruncatedSeries) -> TruncatedSeries:

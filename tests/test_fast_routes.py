@@ -1,12 +1,14 @@
-"""The packed-key polynomial arithmetic, the sparse series arithmetic, the
-direct lambda factors, the signed-product lambda series, the short-factor
-Log/Exp and the prefix-grouped integer power formula equal the slow reference
-routes of tests/_reference.py exactly."""
+"""The packed-key polynomial arithmetic, the fused series product, the sparse
+series inverse, the direct lambda factors, the lambda series of order <= 1,
+the signed-product lambda series, the short-factor Log/Exp and the
+prefix-grouped integer power formula equal the slow reference routes of
+tests/_reference.py exactly."""
 
 import random
 
 import pytest
 
+from powerstruct import lambdas
 from powerstruct.lambdas import (
     LAMBDA_KINDS,
     LambdaStructure,
@@ -44,28 +46,31 @@ from _reference import (
     generic_one_minus_xt_power,
     per_kind_lambda_series,
     profile_by_profile_integer_power,
+    sparse_mul,
 )
 
 UV = Ring(("u", "v"))
 RINGS = {"Z": INTEGERS, "Z[u,v]": UV}
+SERIES_RINGS = [INTEGERS, UV, Ring(("L",)), Ring(("a", "b", "c"))]
 
 
 def operands(rng, ring):
-    """Unit series of mixed orders: dense, with zero coefficients, and rescaled."""
+    """Series of mixed orders: unit and dense, with zero coefficients, sparse
+    in t^k, and the inverse of the first, whose products with it cancel."""
     n = rng.randint(0, 9)
     k = rng.randint(2, 4)
-    return [
+    out = [
         random_unit_series(rng, ring, n, max_degree=1, max_terms=2),
         random_series(rng, ring, rng.randint(0, 9), max_degree=1, max_terms=2),
         sparse_unit_series(rng, ring, rng.randint(0, 12), nonzero_p=0.3),
         sparse_unit_series(rng, ring, n // k).rescale(k, order=n),
         TruncatedSeries.one(ring, n),
     ]
+    return out + [out[0].invert()]
 
 
-@pytest.mark.parametrize("ring_name", RINGS)
-def test_mul_and_invert_equal_the_dense_routes(ring_name):
-    ring = RINGS[ring_name]
+@pytest.mark.parametrize("ring", SERIES_RINGS, ids=lambda r: r.name)
+def test_mul_and_invert_equal_the_dense_routes(ring):
     rng = random.Random(40)
     for _ in range(25):
         series = operands(rng, ring)
@@ -74,8 +79,9 @@ def test_mul_and_invert_equal_the_dense_routes(ring_name):
                 assert a.invert() == dense_invert(a)
             for b in series:
                 product = a * b
-                assert product == dense_mul(a, b)
+                assert product == dense_mul(a, b) == sparse_mul(a, b)
                 assert product.order == min(a.order, b.order)
+        assert series[0] * series[-1] == TruncatedSeries.one(ring, series[0].order)
 
 
 def test_zero_polynomial_coefficients_are_skipped_exactly():
@@ -289,6 +295,69 @@ def test_packed_arithmetic_equals_the_tuple_keyed_reference(variables):
                 kept, refused = kept + kept_now, refused + 1 - kept_now
             assert not (a - a) and (a - a).terms == {}
     assert kept and refused  # both sides of the degree limit were exercised
+
+
+@pytest.mark.parametrize("variables", [("u",), ("u", "v"), ("a", "b", "c")], ids=len)
+def test_series_products_near_the_degree_limit_equal_the_sparse_reference(variables):
+    """A fused product equals the coefficient-pair reference, or raises
+    DegreeOverflowError exactly where one of the reference's pair products does."""
+    rng = random.Random(f"series near limit {variables}")
+    ring = Ring(variables)
+    kept = refused = 0
+    for _ in range(40):
+        polys = packed_operands(rng, variables)
+        a, b = (TruncatedSeries(ring, [ring.one] + rng.sample(polys, 3)) for _ in range(2))
+        try:
+            expected = sparse_mul(a, b)
+        except DegreeOverflowError:
+            with pytest.raises(DegreeOverflowError):
+                a * b
+            refused += 1
+            continue
+        assert a * b == expected
+        kept += 1
+    assert kept and refused
+
+
+def test_a_product_whose_overflowing_monomials_cancel_still_raises():
+    ring = Ring(("u",))
+    M = MAX_EXPONENT
+    a = TruncatedSeries(ring, [ring.one, ring.monomial((M - 1,)), ring.monomial((M,)), ring.zero])
+    b = TruncatedSeries(ring, [ring.one, ring.gen("u"), ring.monomial((2,), -1), ring.zero])
+    # t^3: u^(M-1) * -u^2 + u^M * u = 0, but both pair products exceed the limit
+    for x, y in ((a, b), (b, a)):
+        with pytest.raises(DegreeOverflowError) as got:
+            x * y
+        assert (got.value.variable, got.value.exponent) == ("u", M + 1)
+        with pytest.raises(DegreeOverflowError):
+            sparse_mul(x, y)
+        assert x.truncate(2) * y == sparse_mul(x.truncate(2), y)
+
+
+@pytest.mark.parametrize("ring", [INTEGERS, UV, Ring(("a", "b", "c"))], ids=lambda r: r.name)
+def test_lambda_series_of_order_at_most_one_builds_no_factor(ring, monkeypatch):
+    def no_factor(*args):
+        pytest.fail("a lambda factor was built for order <= 1")
+
+    monkeypatch.setattr(lambdas, "_one_minus_xt_power", no_factor)
+    rng = random.Random(f"order <= 1 {ring.name}")
+    for kind in LAMBDA_KINDS:
+        lam = LambdaStructure(kind, ring)
+        for a in lambda_exponents(rng, ring):
+            for order in (0, 1):
+                if kind in ("kapranov", "binomial") and not ring.is_constant(a):
+                    with pytest.raises(UnsupportedLambdaError) as got:
+                        lambda_series(lam, a, order)
+                    assert str(got.value) == (
+                        f"{kind} lambda is defined for integer exponents only; "
+                        f"got {ring.format_element(a)} (use poly-product)"
+                    )
+                    continue
+                got = lambda_series(lam, a, order)
+                assert got == per_kind_lambda_series(lam, a, order)
+                assert got.coefficients == (ring.one, a)[: order + 1]
+        with pytest.raises(ValueError, match="order must be nonnegative"):
+            lambda_series(lam, ring.one, -1)
 
 
 @pytest.mark.parametrize("ring", [INTEGERS, Ring(("u",)), UV, Ring(("a", "b", "c"))], ids=lambda r: r.name)

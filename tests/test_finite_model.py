@@ -1,13 +1,15 @@
 import itertools
 import math
+import io
 import random
 from collections.abc import Sequence
+from types import SimpleNamespace
 
 import pytest
 
 from _gen import exponent_map_classes
 from _reference import brute_force_profile_orbits
-from powerstruct import finite_model, kernels
+from powerstruct import cli, finite_model, kernels
 from powerstruct.finite_model import (
     BudgetExceededError,
     EquivalenceCheckError,
@@ -24,7 +26,7 @@ from powerstruct.finite_model import (
 )
 from powerstruct.kernels import OrbitCheckError
 from powerstruct.lambdas import integer_power_formula
-from powerstruct.rings import INTEGERS
+from powerstruct.rings import INTEGERS, InexactDivisionError
 from powerstruct.series import TruncatedSeries
 
 
@@ -310,3 +312,16 @@ def test_failed_cross_checks_raise_named_errors(monkeypatch):
     monkeypatch.setattr(finite_model, "power", lambda base, m, lam: base)
     with pytest.raises(FiniteSeriesCheckError):
         finite_series(FiniteMap.constant(2), "zeta", 3)
+
+
+def test_an_inexact_representative_count_raises_a_named_error(monkeypatch):
+    # with perm(m, s) forced to 1, the profile {1: 2} needs 1 * 1^2 / 2! representatives
+    monkeypatch.setattr(
+        finite_model, "math", SimpleNamespace(perm=lambda m, s: 1, factorial=math.factorial)
+    )
+    with pytest.raises(InexactDivisionError, match="1 / 2 leaves the remainder 1"):
+        finite_model.check_budget(FiniteMap.constant(3), [FiniteMap.constant(1)], 2)
+    err = io.StringIO()
+    argv = ["oracle", "--m-size", "3", "--target-size", "1", "--coeff-sizes", "1", "--order", "2"]
+    assert cli.main(argv, out=io.StringIO(), err=err) == 2
+    assert err.getvalue() == "error: 1 / 2 leaves the remainder 1\n"

@@ -1,10 +1,12 @@
 import random
+from fractions import Fraction
 
 import pytest
 
 from powerstruct.lambdas import (
     LambdaStructure,
     UnsupportedLambdaError,
+    _one_minus_xt_power,
     charge_profiles,
     decompose_product,
     exp_map,
@@ -14,7 +16,7 @@ from powerstruct.lambdas import (
     log_map,
     power,
 )
-from powerstruct.rings import INTEGERS, Ring, SparsePolynomial
+from powerstruct.rings import INTEGERS, InexactDivisionError, Ring, SparsePolynomial
 from powerstruct.series import NonUnitError, TruncatedSeries
 
 from _gen import random_element, random_unit_series, sparse_element, sparse_unit_series
@@ -283,3 +285,10 @@ def test_integer_power_formula_visits_only_contributing_profiles(monkeypatch):
         degrees.clear()
         assert integer_power_formula(dense, m) == want
         assert max(degrees, default=0) == m
+
+
+def test_an_inexact_factor_coefficient_raises_a_named_error():
+    # (1 - t)^(1/2) has the coefficient -binom(1/2, 1) = -1/2 at t^1, so the
+    # division that is exact for integer exponents leaves a remainder
+    with pytest.raises(InexactDivisionError, match="leaves the remainder 1/2"):
+        _one_minus_xt_power(INTEGERS, (), 1, Fraction(1, 2), 2)
