@@ -11,17 +11,29 @@ opposite, which are the same structures with t -> -t.  Kapranov, (1-t)^{-a},
 and binomial, (1+t)^a, take integer exponents only; poly-product and opposite
 take any polynomial and restrict to them on constants.
 
-Every unit series factors uniquely as prod_i lambda_{b_i}(t^i).  Exp builds
-that product; Log peels it degree by degree, multiplying by
-lambda_{-b_k}(t^k) = lambda_{b_k}(t^k)^{-1}, so it takes no series inverse.
-Scaling each b_i by a ring element m and recombining is the power structure
-attached to the lambda-structure.  The closed-form integer power (charge
-profiles summed by shared prefix) is implemented independently as a check.
+Every unit series factors uniquely as prod_i lambda_{b_i}(t^i).  Scaling
+each b_i by a ring element m and recombining is the power structure attached
+to the lambda-structure.  Log and Exp take one route per ring:
+
+- Over Z[x...] Exp builds that product; Log peels it degree by degree,
+  multiplying by lambda_{-b_k}(t^k) = lambda_{b_k}(t^k)^{-1}, so it takes no
+  series inverse.  The factors (1 - x*t^k)^{+-p} stay short, where a ghost
+  sum would convolve every Adams term with the full dense result.
+- Over Z they run Newton's identities on int lists.  With t*A'/A =
+  sum_n s_n t^n and the Adams operations psi^r(b) = sigma^(r+1)*b, the ghost
+  sums are s_n = sum_{i | n} i*psi^(n/i)(b_i) and n*a_n = sum_{k<=n} s_k*a_{n-k},
+  so Log and Exp each cost one triangular int convolution, about N^2/2
+  multiply-adds, against sum_k N^2/k for the factor products.
+
+The closed-form integer power (charge profiles summed by shared prefix) is
+implemented independently as a check.
 """
 
 from __future__ import annotations
 
 import math
+from itertools import islice
+from operator import mul
 from typing import Dict, Iterable, Iterator, List, Sequence
 
 from .rings import Immutable, Ring, exact_quotient
@@ -94,14 +106,17 @@ def _factor(lam: LambdaStructure, b, k: int, order: int) -> TruncatedSeries:
 def decompose_product(A: TruncatedSeries, lam: LambdaStructure) -> List:
     """Coefficients b_1..b_N of the unique factorization A = prod lambda_{b_i}(t^i).
 
-    Peels degrees bottom-up: after multiplying A by prod_{i<k} lambda_{-b_i}(t^i),
-    the inverse of prod_{i<k} lambda_{b_i}(t^i), the residual is
-    1 + b_k t^k + O(t^{k+1}).
+    Over Z[x...] this peels degrees bottom-up: after multiplying A by
+    prod_{i<k} lambda_{-b_i}(t^i), the inverse of prod_{i<k} lambda_{b_i}(t^i),
+    the residual is 1 + b_k t^k + O(t^{k+1}).  Over Z it solves Newton's
+    identities instead (`_int_log`), one int convolution in all.
     """
     if A.ring != lam.ring:
         raise ValueError(f"series over {A.ring.name}, lambda over {lam.ring.name}")
     if not A.is_unit():
         raise NonUnitError("only series with constant term 1 decompose")
+    if A.ring.is_integers:
+        return _int_log(A.coefficients, _SIGN[lam.kind])
     residual = A
     bs: List = []
     for k in range(1, A.order + 1):
@@ -114,8 +129,16 @@ def decompose_product(A: TruncatedSeries, lam: LambdaStructure) -> List:
 
 
 def exp_map(B: Sequence, lam: LambdaStructure, order: int) -> TruncatedSeries:
-    """Exp(b_1 t + b_2 t^2 + ...) = prod_k lambda_{b_k}(t^k), truncated at `order`."""
+    """Exp(b_1 t + b_2 t^2 + ...) = prod_k lambda_{b_k}(t^k), truncated at `order`.
+
+    Over Z[x...] this multiplies the factors lambda_{b_k}(t^k); over Z it
+    solves Newton's identities instead (`_int_exp`), one int convolution in all.
+    """
+    _check_order(order)
     ring = lam.ring
+    if ring.is_integers:
+        bs = [ring.coerce(b) for b in islice(B, order)]
+        return TruncatedSeries._raw(ring, _int_exp(bs, _SIGN[lam.kind], order))
     result = TruncatedSeries.one(ring, order)
     for k, b in enumerate(B, start=1):
         if k > order:
@@ -137,6 +160,55 @@ def power(A: TruncatedSeries, m, lam: LambdaStructure) -> TruncatedSeries:
     m = lam.ring.coerce(m)
     bs = decompose_product(A, lam)
     return exp_map([m * b for b in bs], lam, A.order)
+
+
+# -- Log and Exp over Z by Newton's identities ------------------------------
+
+
+def _add_adams_terms(ghosts: List[int], i: int, b: int, sign: int) -> None:
+    """Add i*psi^r(b) = i * sign^(r+1) * b to ghosts[i*r] for every r >= 1."""
+    ib = i * b
+    step = i if sign > 0 else 2 * i
+    for j in range(i, len(ghosts), step):
+        ghosts[j] += ib
+    if sign < 0:
+        for j in range(step, len(ghosts), step):
+            ghosts[j] -= ib
+
+
+def _from_ghosts(ghosts: Sequence[int]) -> List[int]:
+    """The unit series C with t*C'/C = sum_n ghosts[n]*t^n:
+    n*c_n = sum_{k<=n} s_k*c_{n-k}, an exact division by n."""
+    c = [1]
+    for n in range(1, len(ghosts)):
+        c.append(exact_quotient(sum(map(mul, ghosts[1 : n + 1], reversed(c))), n))
+    return c
+
+
+def _int_exp(bs: Sequence[int], sign: int, order: int) -> List[int]:
+    """Exp over Z: the ghost sums s_n = sum_{i | n} i*psi^(n/i)(b_i), each
+    b_i's Adams terms scattered forward to the multiples of i."""
+    ghosts = [0] * (order + 1)
+    for i, b in enumerate(bs, start=1):
+        if b:
+            _add_adams_terms(ghosts, i, b, sign)
+    return _from_ghosts(ghosts)
+
+
+def _int_log(a: Sequence[int], sign: int) -> List[int]:
+    """Log over Z: the ghost sums s_n = n*a_n - sum_{k<n} s_k*a_{n-k} of A, then
+    n*b_n = s_n - sum_{i | n, i < n} i*psi^(n/i)(b_i), an exact division by n."""
+    order = len(a) - 1
+    ghosts = [0] * (order + 1)
+    adams = [0] * (order + 1)  # the Adams terms of the b_i found so far
+    bs: List[int] = []
+    for n in range(1, order + 1):
+        s = ghosts[n] = n * a[n] - sum(map(mul, ghosts[1:n], a[n - 1 : 0 : -1]))
+        b = exact_quotient(s - adams[n], n)
+        bs.append(b)
+        if b:
+            _add_adams_terms(adams, n, b, sign)
+    return bs
 
 
 # -- charge profiles and the closed-form integer power ----------------------

@@ -1,6 +1,7 @@
 import io
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -10,6 +11,8 @@ import pytest
 import powerstruct
 from powerstruct import cli, kernels
 from powerstruct.cli import main
+from powerstruct.rings import INTEGERS
+from powerstruct.series import TruncatedSeries
 
 
 def run(argv):
@@ -79,6 +82,35 @@ def test_exp_log_roundtrip():
     )
     assert rc == 0
     assert out == "t^0: 1\nt^1: 3\nt^2: 3\nt^3: 1\nt^4: 0\nt^5: 0\n"
+
+
+def test_power_over_z_at_order_128_is_the_integer_power():
+    rng = random.Random(128)
+    A = TruncatedSeries(INTEGERS, [1] + [rng.choice([-3, -2, -1, 1, 2, 3]) for _ in range(128)])
+    expected = [INTEGERS.format_element(c) for c in A.int_pow(-7).coefficients]
+    argv = ["power", "--ring", "Z", "--lambda", "binomial", "--order", "128",
+            "--series", str(A), "--exponent", "-7"]
+    rc, out, err = run(argv)
+    assert (rc, err) == (0, "")
+    assert out == "".join(f"t^{j}: {c}\n" for j, c in enumerate(expected))
+    rc, out, err = run(argv + ["--format", "json"])
+    assert rc == 0
+    assert json.loads(out) == {"ring": "Z", "order": 128, "coefficients": expected}
+
+
+def test_exp_log_roundtrip_over_z_at_order_64():
+    rng = random.Random(64)
+    A = TruncatedSeries(INTEGERS, [1] + [rng.randint(-4, 4) for _ in range(64)])
+    for kind in ("kapranov", "binomial", "opposite", "poly-product"):
+        rc, logged, _ = run(["log", "--ring", "Z", "--lambda", kind, "--order", "64",
+                             "--series", str(A), "--format", "json"])
+        assert rc == 0
+        bs = json.loads(logged)["coefficients"]
+        assert len(bs) == 64
+        rc, out, _ = run(["exp", "--ring", "Z", "--lambda", kind, "--order", "64",
+                          "--coeffs", ",".join(bs), "--format", "json"])
+        assert rc == 0
+        assert json.loads(out)["coefficients"] == [str(c) for c in A.coefficients]
 
 
 def test_zeta_text_golden():

@@ -1,8 +1,8 @@
 """The packed-key polynomial arithmetic, the fused series product, the sparse
 series inverse, the direct lambda factors, the lambda series of order <= 1,
-the signed-product lambda series, the short-factor Log/Exp and the
-prefix-grouped integer power formula equal the slow reference routes of
-tests/_reference.py exactly."""
+the signed-product lambda series, the short-factor Log/Exp, the Newton-identity
+Log/Exp over Z and the prefix-grouped integer power formula equal the slow
+reference routes of tests/_reference.py exactly."""
 
 import random
 
@@ -24,6 +24,7 @@ from powerstruct.rings import (
     INTEGERS,
     MAX_EXPONENT,
     DegreeOverflowError,
+    InexactDivisionError,
     Ring,
     SparsePolynomial,
 )
@@ -163,6 +164,103 @@ def test_log_and_power_of_dense_polynomial_series(kind):
         assert decompose_product(A, lam) == full_order_decompose(A, lam)
         m = UV.one + UV.gen(rng.choice(["u", "v"]))
         assert power(A, m, lam) == full_order_power(A, m, lam)
+
+
+X = Ring(("x",))
+
+
+def to_int(p):
+    """The int of a constant of Z[x]."""
+    terms = dict(X.terms(p))
+    assert set(terms) <= {(0,)}, p
+    return terms.get((0,), 0)
+
+
+def factor_route_log(A, kind):
+    """Log over Z by the lambda-factor route: the constants of Z[x] decompose
+    as prod lambda_{b_i}(t^i) exactly as the integers do."""
+    return [to_int(b) for b in decompose_product(TruncatedSeries(X, A.coefficients), LambdaStructure(kind, X))]
+
+
+def factor_route_exp(B, kind, order):
+    return [to_int(c) for c in exp_map(B, LambdaStructure(kind, X), order).coefficients]
+
+
+def factor_route_power(A, m, kind):
+    A = TruncatedSeries(X, A.coefficients)
+    return [to_int(c) for c in power(A, X.from_int(m), LambdaStructure(kind, X)).coefficients]
+
+
+def b_sequences(rng, order):
+    """B dense, with one nonzero entry, all zero, and longer than the order."""
+    single = [0] * order
+    if order:
+        single[rng.randrange(order)] = rng.choice([-3, -1, 1, 2])
+    return [
+        [rng.randint(-3, 3) for _ in range(order)],
+        single,
+        [0] * order,
+        [rng.randint(-3, 3) for _ in range(order + rng.randint(1, 3))],
+    ]
+
+
+def assert_exp_equals_both_references(kind, B, order):
+    lam = LambdaStructure(kind, INTEGERS)
+    got = exp_map(B, lam, order)
+    assert got == full_order_exp(B, lam, order), (kind, order, B)
+    assert list(got.coefficients) == factor_route_exp(B, kind, order)
+    assert decompose_product(got, lam) == list(B[:order])
+
+
+def assert_log_and_power_equal_both_references(kind, A, m):
+    lam = LambdaStructure(kind, INTEGERS)
+    assert decompose_product(A, lam) == full_order_decompose(A, lam) == factor_route_log(A, kind)
+    got = power(A, m, lam)
+    assert got == full_order_power(A, m, lam), (kind, A, m)
+    assert list(got.coefficients) == factor_route_power(A, m, kind)
+    assert got == A.int_pow(m)  # over Z every lambda-structure gives the ordinary power
+
+
+@pytest.mark.parametrize("kind", LAMBDA_KINDS)
+def test_newton_route_over_z_equals_both_references(kind):
+    # Every kind of B comes at every order.  A comes as the geometric series,
+    # 1 + t and a dense random unit in turn, so the dense A, the costly case
+    # for the references, comes at every third order.
+    rng = random.Random(f"newton {kind}")
+    for order in range(65):
+        for B in b_sequences(rng, order):
+            assert_exp_equals_both_references(kind, B, order)
+        A = [TruncatedSeries.geometric(INTEGERS, order), TruncatedSeries.one_plus_t(INTEGERS, order),
+             random_unit_series(rng, INTEGERS, order)][order % 3]
+        assert_log_and_power_equal_both_references(kind, A, rng.randint(-7, 7))
+    # one case each at orders 128 and 256: A = Exp(B) for a B with four
+    # nonzero entries, so the references build four factors
+    for order in (128, 256):
+        B = [0] * order
+        for i in rng.sample(range(1, order), 3) + [0]:
+            B[i] = rng.choice([-2, -1, 1, 3])
+        assert_exp_equals_both_references(kind, B, order)
+        A = exp_map(B, LambdaStructure(kind, INTEGERS), order)
+        assert_log_and_power_equal_both_references(kind, A, rng.choice([-7, -3, 2, 5]))
+
+
+def test_newton_route_over_z_builds_no_lambda_factor(monkeypatch):
+    def no_factor(*args):
+        pytest.fail("a lambda factor was built over Z")
+
+    monkeypatch.setattr(lambdas, "lambda_series", no_factor)
+    A = TruncatedSeries(INTEGERS, [1, 2, -1, 3, 0, 5])
+    for kind in LAMBDA_KINDS:
+        lam = LambdaStructure(kind, INTEGERS)
+        assert exp_map(decompose_product(A, lam), lam, 5) == A
+        assert power(A, -2, lam) == A.int_pow(-2)
+
+
+def test_a_ghost_sum_not_divisible_by_n_raises():
+    # t*C'/C = t forces 2*c_2 = s_1*c_1 + s_2*c_0 = 1: no integer c_2
+    with pytest.raises(InexactDivisionError, match="1 / 2 leaves the remainder 1"):
+        lambdas._from_ghosts([0, 1, 0])
+    assert lambdas._from_ghosts([0, 1, 1]) == [1, 1, 1]  # (1 - t)^-1
 
 
 def formula_bases(rng, ring, order):
