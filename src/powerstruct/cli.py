@@ -171,33 +171,37 @@ def _cmd_oracle(args, out) -> int:
         raise _UsageError(f"bad --coeff-sizes {args.coeff_sizes!r}")
     if any(s < 0 for s in sizes):
         raise _UsageError("coefficient sizes must be nonnegative")
-    exponent = FiniteMap(
-        args.m_size, args.target_size, [x % args.target_size for x in range(args.m_size)]
-    )
     coeffs = [FiniteMap.constant(s) for s in sizes]
     series = TruncatedSeries(
         INTEGERS, [1] + sizes + [0] * max(0, args.order - len(sizes))
     ).truncate(args.order)
-    check_budget(exponent, coeffs, args.order, args.budget)
+    check_budget(args.m_size, coeffs, args.order, args.budget)
+    exponent = FiniteMap(
+        args.m_size, args.target_size, [x % args.target_size for x in range(args.m_size)]
+    )
     oracle_values = [
         geometric_power_coefficient(exponent, coeffs, k, budget=args.budget)
         for k in range(1, args.order + 1)
     ]
     formula_values = list(integer_power_formula(series, args.m_size).coefficients[1:])
-    verdict = "agree" if oracle_values == formula_values else "disagree"
+    for k, (o, f) in enumerate(zip(oracle_values, formula_values), start=1):
+        if o != f:
+            raise FiniteSeriesCheckError(
+                f"at t^{k} the oracle counts {o} and the formula gives {f}"
+            )
     if args.format == "json":
         payload = {
             "ring": "Z",
             "order": args.order,
             "coefficients": [str(v) for v in oracle_values],
             "formula": [str(v) for v in formula_values],
-            "verdict": verdict,
+            "verdict": "agree",
         }
         print(json.dumps(payload), file=out)
     else:
         for k, (o, f) in enumerate(zip(oracle_values, formula_values), start=1):
             print(f"t^{k}: oracle={o} formula={f}", file=out)
-        print(f"verdict: {verdict}", file=out)
+        print("verdict: agree", file=out)
     return 0
 
 

@@ -228,12 +228,17 @@ def _profile_blocks(m_size: int, coeffs: Sequence[FiniteMap], k: int, budget: in
 
 
 def check_budget(
-    exponent: FiniteMap, coeffs: Sequence[FiniteMap], order: int, budget: int = DEFAULT_BUDGET
+    m_size: int, coeffs: Sequence[FiniteMap], order: int, budget: int = DEFAULT_BUDGET
 ) -> None:
-    """Refuse a run over t^1..t^order in which one charge profile needs more
-    than `budget` orbit representatives, before anything is enumerated."""
+    """Refuse a run over t^1..t^order, before the exponent map is built, if one
+    charge profile needs more than `budget` orbit representatives or the map
+    more than `budget` source points, which take O(m_size) steps to count."""
     for k in range(1, order + 1):
-        _profile_blocks(exponent.source_size, coeffs, k, budget)
+        _profile_blocks(m_size, coeffs, k, budget)
+    if m_size > budget:
+        raise BudgetExceededError(
+            f"the exponent map has {m_size} source points (budget {budget})"
+        )
 
 
 def geometric_power_coefficient(

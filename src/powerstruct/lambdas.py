@@ -25,8 +25,9 @@ to the lambda-structure.  Log and Exp take one route per ring:
   so Log and Exp each cost one triangular int convolution, about N^2/2
   multiply-adds, against sum_k N^2/k for the factor products.
 
-The closed-form integer power (charge profiles summed by shared prefix) is
-implemented independently as a check.
+The closed-form integer power, a check by a separate route, is the binomial
+theorem (1 + X)^m = sum_s binom(m, s) * X^s with X = A - 1: at most N series
+products at order N, about N^3/6 multiply-adds over Z, and no Log or Exp.
 """
 
 from __future__ import annotations
@@ -261,36 +262,25 @@ def generalized_binomial(m: int, s: int) -> int:
 
 
 def integer_power_formula(A: TruncatedSeries, m: int) -> TruncatedSeries:
-    """Closed-form (1 + a_1 t + ...)^m for an integer exponent.
+    """Closed-form (1 + a_1 t + ...)^m for an integer exponent m.
 
-    Coefficient of t^k is the sum over charge profiles {k_i} with
-    sum i*k_i = k of binom(m, s) * s!/(prod k_i!) * prod a_i^{k_i}, s = sum k_i,
-    summed by shared prefix: table[k][s] holds s!/(prod k_j!) * prod a_j^{k_j}
-    summed over the partial profiles of weight k with s parts as the charges
-    join one at a time.  Charges with a_i = 0 are skipped and s stops at m when
-    m >= 0, so order N takes O(N^3 log N) ring operations, with integer factors
-    and no series product, power or lambda-structure.
+    The sum over charge profiles {k_i} with sum i*k_i = k of binom(m, s) *
+    s!/(prod k_i!) * prod a_i^{k_i}, s = sum k_i, is by the multinomial theorem
+    the binomial theorem (1 + X)^m = sum_s binom(m, s) * X^s, X = A - 1, here
+    summed with the series product.  X^s starts at t^s, so s stops at the
+    order, at m when m >= 0 and at the first X^s that is zero.
     """
     if not A.is_unit():
         raise NonUnitError("the integer power formula needs constant term 1")
     if not isinstance(m, int) or isinstance(m, bool):
         raise TypeError("the exponent of integer_power_formula must be an int")
     ring, order = A.ring, A.order
-    cap = order if m < 0 else min(m, order)
-    table = [[ring.zero] * (cap + 1) for _ in range(order + 1)]
-    table[0][0] = ring.one
-    for i, a in enumerate(A.coefficients):
-        if not i or not a:
-            continue
-        # c more of charge i: s parts -> s + c parts, times binom(s+c, c) * a^c
-        before, power = [row[:] for row in table], ring.one
-        for c in range(1, min(order // i, cap) + 1):
-            power = power * a
-            for s in range(min(cap - c, order - c * i) + 1):
-                w = ring.from_int(math.comb(s + c, c)) * power
-                for source, row in zip(before[s:], table[c * i + s :]):
-                    if source[s]:
-                        row[s + c] = row[s + c] + w * source[s]
-    binoms = [ring.from_int(generalized_binomial(m, s)) for s in range(cap + 1)]
-    out = [sum((b * e for b, e in zip(binoms, row) if e), ring.zero) for row in table]
+    x_s = TruncatedSeries.one(ring, order)  # X^0
+    x, out = A - x_s, list(x_s.coefficients)
+    for s in range(1, (order if m < 0 else min(m, order)) + 1):
+        x_s = x_s * x
+        if not any(x_s.coefficients):
+            break
+        weight = ring.from_int(generalized_binomial(m, s))
+        out = [c + weight * e if e else c for c, e in zip(out, x_s.coefficients)]
     return TruncatedSeries._raw(ring, out)

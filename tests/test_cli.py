@@ -303,6 +303,40 @@ def test_over_budget_oracle_is_refused_before_the_formula_runs(monkeypatch):
     assert err == "error: profile {1: 1} needs 12 orbit representatives (budget 10)\n"
 
 
+def test_an_oversized_exponent_is_refused_before_its_map_is_built(monkeypatch):
+    # every X_i up to t^1 is empty, so no profile needs a representative; the
+    # source size alone is over the budget, and a map of 10^12 points is
+    # never allocated
+    calls = counting_kernel(monkeypatch)
+    for fmt in ("text", "json"):
+        rc, out, err = run(
+            ["oracle", "--m-size", str(10**12), "--target-size", "1", "--coeff-sizes",
+             "0", "--order", "1", "--format", fmt]
+        )
+        assert (rc, out, len(calls)) == (2, "", 0)
+        assert err == (
+            "error: the exponent map has 1000000000000 source points (budget 10000000)\n"
+        )
+
+
+def test_a_failed_formula_cross_check_exits_2(monkeypatch):
+    real = cli.integer_power_formula
+
+    def off_at_t2(series, m):
+        coefficients = list(real(series, m).coefficients)
+        coefficients[2] += 1
+        return TruncatedSeries(INTEGERS, coefficients)
+
+    monkeypatch.setattr(cli, "integer_power_formula", off_at_t2)
+    for fmt in ("text", "json"):
+        rc, out, err = run(
+            ["oracle", "--m-size", "3", "--target-size", "1", "--coeff-sizes", "2",
+             "--order", "2", "--format", fmt]
+        )
+        assert (rc, out) == (2, "")
+        assert err == "error: at t^2 the oracle counts 12 and the formula gives 13\n"
+
+
 def test_oracle_enumerates_only_profiles_that_can_contribute(monkeypatch):
     # (1 + t)^2: only {1: 1} and {1: 2} have at most two parts, all of charge 1
     calls = counting_kernel(monkeypatch)

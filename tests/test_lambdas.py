@@ -255,7 +255,8 @@ def test_integer_power_formula_matches_repeated_multiplication():
 
 def test_integer_power_formula_visits_only_contributing_profiles(monkeypatch):
     # a profile with a part i where a_i = 0, or with more than m >= 0 parts,
-    # adds 0, and the grouped sum builds no table entry for either
+    # adds 0: the binomial sum stops at the first power X^s of X = A - 1 that
+    # is zero, and forms none above X^m
     ring = Ring(("a",))
     a = ring.gen("a")
     sparse = TruncatedSeries(ring, [ring.one] + [ring.zero] * 39 + [a])  # 1 + a*t^40
@@ -266,21 +267,31 @@ def test_integer_power_formula_visits_only_contributing_profiles(monkeypatch):
     )
     expected = {m: dense.int_pow(m) for m in (0, 1, 2, 3, 5)}
 
-    degrees = []  # the degree in a of every product
-    mul = SparsePolynomial.__mul__
+    degrees = []  # the degree in a of every polynomial and every series product
+
+    def degree(p):
+        return max((e for (e,) in p.terms), default=0)
+
+    mul, convolve = SparsePolynomial.__mul__, Ring.convolve
 
     def recording(self, other):
         product = mul(self, other)
-        degrees.append(max((e for (e,) in product.terms), default=0))
+        degrees.append(degree(product))
         return product
 
+    def recording_convolve(self, left, right, n):
+        coefficients = convolve(self, left, right, n)
+        degrees.append(max(map(degree, coefficients), default=0))
+        return coefficients
+
     monkeypatch.setattr(SparsePolynomial, "__mul__", recording)
+    monkeypatch.setattr(Ring, "convolve", recording_convolve)
     assert integer_power_formula(sparse, -2) == sparse_expected
-    # charge 40 alone: a^1, one weight, one table entry and the read-outs of
-    # t^0 and t^40; each of the 39 zero charges would add products of its own
+    # X = a*t^40 and X^2 = 0 ends the sum: the series products 1*X and X*X
+    # and one weight times a; a sum that ran on to s = 40 would add 38 more
     assert len(degrees) <= 5
-    # every a_i is a multiple of a, so a table entry with s parts has degree s
-    # in a: no product above degree m means no entry with more than m parts
+    # every a_i is a multiple of a, so X^s has degree s in a: no product
+    # above degree m means no power of X above X^m
     for m, want in expected.items():
         degrees.clear()
         assert integer_power_formula(dense, m) == want
