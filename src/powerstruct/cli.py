@@ -171,11 +171,11 @@ def _cmd_oracle(args, out) -> int:
         raise _UsageError(f"bad --coeff-sizes {args.coeff_sizes!r}")
     if any(s < 0 for s in sizes):
         raise _UsageError("coefficient sizes must be nonnegative")
-    coeffs = [FiniteMap.constant(s) for s in sizes]
     series = TruncatedSeries(
         INTEGERS, [1] + sizes + [0] * max(0, args.order - len(sizes))
     ).truncate(args.order)
-    check_budget(args.m_size, coeffs, args.order, args.budget)
+    check_budget(args.m_size, sizes, args.order, args.budget)
+    coeffs = [FiniteMap.constant(s) for s in sizes]
     exponent = FiniteMap(
         args.m_size, args.target_size, [x % args.target_size for x in range(args.m_size)]
     )

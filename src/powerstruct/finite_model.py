@@ -46,7 +46,7 @@ class FiniteMap(Immutable):
             raise ValueError("set sizes must be nonnegative")
         if len(values) != source_size:
             raise ValueError(f"expected {source_size} values, got {len(values)}")
-        if any(not (0 <= v < target_size) for v in values):
+        if values and (min(values) < 0 or max(values) >= target_size):
             raise ValueError("map value out of range")
         object.__setattr__(self, "source_size", source_size)
         object.__setattr__(self, "target_size", target_size)
@@ -154,15 +154,13 @@ def find_equivalence(
 
 
 def _image_multiset_map(f: FiniteMap, k: int, choose) -> FiniteMap:
-    """The k-element selections `choose(source, k)` mapped to image multisets."""
+    """The k-selections of the source, via choose(f.values, k), mapped to image multisets."""
     if k < 0:
         raise ValueError("k must be nonnegative")
-    src = list(choose(range(f.source_size), k))
     tgt = itertools.combinations_with_replacement(range(f.target_size), k)
     tgt_index = {ms: i for i, ms in enumerate(tgt)}
-    fv = f.values
-    values = [tgt_index[tuple(sorted([fv[x] for x in sel]))] for sel in src]
-    return FiniteMap(len(src), len(tgt_index), values)
+    values = tuple(map(tgt_index.__getitem__, map(tuple, map(sorted, choose(f.values, k)))))
+    return FiniteMap(len(values), len(tgt_index), values)
 
 
 def symmetric_power_map(f: FiniteMap, k: int) -> FiniteMap:
@@ -198,43 +196,37 @@ def particle_configuration_count(m_size: int, coeff_sizes: Sequence[int], k: int
     return ways[k]
 
 
-def _profile_blocks(m_size: int, coeffs: Sequence[FiniteMap], k: int, budget: int):
-    """(profile, kernel blocks) for every charge profile of t^k that can add orbits.
+def _profiles(m_size: int, sizes: Sequence[int], k: int, budget: int):
+    """Every charge profile of t^k that can add orbits, given the sizes |X_i|.
 
     A profile needs a nonempty coefficient set for each charge, so its parts
     are the charges i with X_i nonempty, and distinct points, so it has at
-    most m_size parts; any other profile adds 0 orbits.  Every profile is
-    checked against the budget before the list is returned, so an
-    over-budget profile is refused before any enumeration.
+    most m_size parts; any other profile adds 0 orbits.  All are checked
+    against the budget before any is returned, so before any enumeration.
     """
     if k < 1:
         raise ValueError("k must be positive")
-    plan = []
-    charges = [i for i, x in enumerate(coeffs, start=1) if x.source_size]
-    for profile in charge_profiles(k, m_size, parts=charges):
+    profiles = list(charge_profiles(k, m_size, parts=[i for i, n in enumerate(sizes, 1) if n]))
+    for profile in profiles:
         reps = math.perm(m_size, sum(profile.values()))
-        blocks = []
         for i, k_i in sorted(profile.items()):
-            x = coeffs[i - 1]
-            reps = exact_quotient(reps * x.source_size**k_i, math.factorial(k_i))
-            blocks.append((k_i, x.source_size, x.values, x.target_size))
+            reps = exact_quotient(reps * sizes[i - 1] ** k_i, math.factorial(k_i))
         if reps > budget:
             raise BudgetExceededError(
                 f"profile {dict(sorted(profile.items()))} needs {reps} orbit "
                 f"representatives (budget {budget})"
             )
-        plan.append((profile, blocks))
-    return plan
+    return profiles
 
 
 def check_budget(
-    m_size: int, coeffs: Sequence[FiniteMap], order: int, budget: int = DEFAULT_BUDGET
+    m_size: int, sizes: Sequence[int], order: int, budget: int = DEFAULT_BUDGET
 ) -> None:
-    """Refuse a run over t^1..t^order, before the exponent map is built, if one
-    charge profile needs more than `budget` orbit representatives or the map
-    more than `budget` source points, which take O(m_size) steps to count."""
+    """Refuse a run over t^1..t^order, given the sizes |X_i|, before any map is
+    built, if a charge profile needs more than `budget` orbit representatives or
+    the exponent map more than `budget` source points (O(m_size) steps)."""
     for k in range(1, order + 1):
-        _profile_blocks(m_size, coeffs, k, budget)
+        _profiles(m_size, sizes, k, budget)
     if m_size > budget:
         raise BudgetExceededError(
             f"the exponent map has {m_size} source points (budget {budget})"
@@ -250,27 +242,32 @@ def geometric_power_coefficient(
     """Coefficient of t^k of (1 + [X_1]t + [X_2]t^2 + ...)^[M -> N], by enumeration.
 
     Sums orbit counts over the charge profiles {k_i} with sum i*k_i = k.  The
-    kernel, kernels.count_profile_orbits, visits one representative per orbit;
-    it checks the well-definedness of the induced orbit map on every
-    representative and the free action once per profile (orbit-stabiliser
-    identity).  This function refuses, before enumerating any profile, one
-    whose perm(m, s) * prod |X_i|^{k_i} / prod k_i! orbit representatives
-    exceed the budget, rejects a negative orbit count and cross-checks the total
+    kernel, kernels.count_profile_orbits, visits one representative per orbit.
+    It checks the induced orbit map once per distinct filling of each block
+    (k_i points and their states): a block's target orbit depends on its own
+    filling only, and when s <= m and every X_i is nonempty each filling
+    extends to a representative (the other blocks take s - k_i of the m - k_i
+    points left), so this covers every block of every representative.  It
+    checks the free action once per profile (orbit-stabiliser identity), and
+    this function refuses, before enumerating any profile, one whose
+    perm(m, s) * prod |X_i|^{k_i} / prod k_i! orbit representatives exceed
+    the budget, rejects a negative orbit count and cross-checks the total
     against the particle-configuration count.  Every failed check raises
     kernels.OrbitCheckError.
     """
     m_size = exponent.source_size
+    sizes = [x.source_size for x in coeffs]
     total = 0
-    for profile, blocks in _profile_blocks(m_size, coeffs, k, budget):
+    for profile in _profiles(m_size, sizes, k, budget):
+        pieces = [(k_i, coeffs[i - 1]) for i, k_i in sorted(profile.items())]
+        blocks = [(k_i, x.source_size, x.values, x.target_size) for k_i, x in pieces]
         orbits = kernels.count_profile_orbits(m_size, exponent.values, blocks)
         if orbits < 0:
             raise kernels.OrbitCheckError(
                 f"profile {dict(sorted(profile.items()))} has {orbits} orbits"
             )
         total += orbits
-    particle = particle_configuration_count(
-        m_size, [x.source_size for x in coeffs[:k]], k
-    )
+    particle = particle_configuration_count(m_size, sizes[:k], k)
     if total != particle:
         raise kernels.OrbitCheckError(
             f"orbit total {total} != particle-configuration count {particle}"

@@ -8,9 +8,11 @@ branch per lambda kind), the factor-by-factor Log/Exp that build every
 factor lambda_b(t^k) to the full order N before rescaling and invert it for
 Log, the punctual Hilbert series as a product of inverted binomials, the
 brute-force orbit count that visits every element of every orbit, the
-two-stage parser that builds an AST, walks it once to infer the ring and
-again to evaluate it, and the closed-form integer power summed one charge
-profile at a time.  They are kept only so tests can compare the fast routes
+orderly orbit count that checks well-definedness again on every
+representative, the multiset maps S^k f and B_k f that index one selected
+point at a time, the two-stage parser that builds an AST, walks it once to
+infer the ring and again to evaluate it, and the closed-form integer power
+summed one charge profile at a time.  They are kept only so tests can compare the fast routes
 against them; they share no lambda code with the library but
 charge_profiles and generalized_binomial, and the parser shares only the
 tokenizer.
@@ -19,8 +21,10 @@ tokenizer.
 import itertools
 import math
 import sys
+from itertools import combinations, product
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from powerstruct.finite_model import FiniteMap
 from powerstruct.kernels import Block, OrbitCheckError
 from powerstruct.lambdas import (
     LambdaStructure,
@@ -338,6 +342,64 @@ def brute_force_profile_orbits(m_size: int, f_values: Sequence[int], blocks: Seq
                 f"non-free action: orbit of {src} has size {count}, expected {orbit_size}"
             )
     return len(orbit_target)
+
+
+def per_representative_profile_orbits(
+    m_size: int, f_values: Sequence[int], blocks: Sequence[Block]
+) -> int:
+    """The orderly orbit count that checks well-definedness on every block of
+    every representative, once for each prefix that leaves its points free."""
+    s = sum(b[0] for b in blocks)
+    if s == 0:
+        raise ValueError("a charge profile must have at least one particle")
+    if s > m_size:
+        return 0
+    if any(k > 0 and x_size == 0 for k, x_size, _, _ in blocks):
+        return 0
+    last = len(blocks) - 1
+
+    def count_from(index: int, unused: Sequence[int]) -> int:
+        """Representatives that fill blocks[index:] from the unused points."""
+        k, x_size, g_values, _ = blocks[index]
+        total = 0
+        for points in combinations(unused, k):
+            rest = [p for p in unused if p not in points]
+            backwards = points[::-1]
+            for states in product(range(x_size), repeat=k):
+                target = sorted([(f_values[p], g_values[x]) for p, x in zip(points, states)])
+                other = sorted(
+                    [(f_values[p], g_values[x]) for p, x in zip(backwards, states[::-1])]
+                )
+                if target != other:
+                    raise OrbitCheckError(
+                        "induced orbit map is not well defined: one source orbit "
+                        "hits two target orbits"
+                    )
+                total += 1 if index == last else count_from(index + 1, rest)
+        return total
+
+    orbits = count_from(0, range(m_size))
+    stabiliser = math.prod(math.factorial(k) for k, _, _, _ in blocks)
+    tuples = math.perm(m_size, s) * math.prod(x_size**k for k, x_size, _, _ in blocks)
+    if orbits * stabiliser != tuples:
+        raise OrbitCheckError(
+            f"non-free action: {orbits} orbits of size {stabiliser} "
+            f"do not cover {tuples} tuples"
+        )
+    return orbits
+
+
+def indexed_image_multiset_map(f: FiniteMap, k: int, choose) -> FiniteMap:
+    """The k-element selections `choose(source, k)` mapped to image multisets,
+    one Python-level lookup of every selected point."""
+    if k < 0:
+        raise ValueError("k must be nonnegative")
+    src = list(choose(range(f.source_size), k))
+    tgt = itertools.combinations_with_replacement(range(f.target_size), k)
+    tgt_index = {ms: i for i, ms in enumerate(tgt)}
+    fv = f.values
+    values = [tgt_index[tuple(sorted([fv[x] for x in sel]))] for sel in src]
+    return FiniteMap(len(src), len(tgt_index), values)
 
 
 class _Parser:

@@ -319,6 +319,24 @@ def test_an_oversized_exponent_is_refused_before_its_map_is_built(monkeypatch):
         )
 
 
+def test_oversized_coefficient_sets_are_refused_before_their_maps_are_built(monkeypatch):
+    # the budget walk needs the sizes only; a set of 10^12 points is never built
+    def refuse(cls, *args):
+        raise AssertionError("a coefficient map was built before the budget check")
+
+    monkeypatch.setattr(cli.FiniteMap, "constant", classmethod(refuse))
+    calls = counting_kernel(monkeypatch)
+    for fmt in ("text", "json"):
+        rc, out, err = run(
+            ["oracle", "--m-size", "1", "--target-size", "1", "--coeff-sizes",
+             str(10**12), "--order", "1", "--budget", "10", "--format", fmt]
+        )
+        assert (rc, out, len(calls)) == (2, "", 0)
+        assert err == (
+            "error: profile {1: 1} needs 1000000000000 orbit representatives (budget 10)\n"
+        )
+
+
 def test_a_failed_formula_cross_check_exits_2(monkeypatch):
     real = cli.integer_power_formula
 

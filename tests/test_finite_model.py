@@ -8,7 +8,11 @@ from types import SimpleNamespace
 import pytest
 
 from _gen import exponent_map_classes
-from _reference import brute_force_profile_orbits
+from _reference import (
+    brute_force_profile_orbits,
+    indexed_image_multiset_map,
+    per_representative_profile_orbits,
+)
 from powerstruct import cli, finite_model, kernels
 from powerstruct.finite_model import (
     BudgetExceededError,
@@ -64,6 +68,35 @@ def test_symmetric_power_sizes():
     any_f = FiniteMap(3, 2, [0, 1, 1])
     unit = symmetric_power_map(any_f, 0)
     assert (unit.source_size, unit.target_size) == (1, 1)
+
+
+def test_finite_map_values_must_lie_in_the_target():
+    for values in ([0, -1], [2, 0]):
+        with pytest.raises(ValueError, match="^map value out of range$"):
+            FiniteMap(2, 2, values)
+    with pytest.raises(ValueError, match="^map value out of range$"):
+        FiniteMap(1, 0, [0])
+    empty = FiniteMap(0, 0, [])
+    assert (empty.source_size, empty.target_size, empty.values) == (0, 0, ())
+
+
+def test_multiset_maps_equal_the_indexed_reference():
+    # S^k f and B_k f against the construction that looks up every selected
+    # point and sorts its images in a Python loop: same sizes, same values
+    rng = random.Random(13)
+    maps = [FiniteMap.identity(0)]
+    for n in range(8):
+        for q in range(1 if n else 0, 5):
+            maps += [FiniteMap(n, q, [rng.randrange(q) for _ in range(n)]) for _ in range(3)]
+    assert any(f.target_size == 0 for f in maps)
+    for f in maps:
+        for k in range(5):
+            for build, choose in (
+                (symmetric_power_map, itertools.combinations_with_replacement),
+                (config_space_map, itertools.combinations),
+            ):
+                # FiniteMap equality compares source size, target size and values
+                assert build(f, k) == indexed_image_multiset_map(f, k, choose), (f, k)
 
 
 def test_config_space_sizes():
@@ -188,6 +221,7 @@ def test_backends_agree(monkeypatch):
     ]
     for m_size, f_values, blocks in cases:
         expected = brute_force_profile_orbits(m_size, f_values, blocks)
+        assert per_representative_profile_orbits(m_size, f_values, blocks) == expected
         assert kernels.count_profile_orbits(m_size, f_values, blocks) == expected
 
     # every kernel call that the criterion-3 grid makes
@@ -198,6 +232,7 @@ def test_backends_agree(monkeypatch):
         orderly = orderly_kernel(m_size, f_values, blocks)
         calls.append(orderly)
         assert orderly == brute_force_profile_orbits(m_size, f_values, blocks)
+        assert orderly == per_representative_profile_orbits(m_size, f_values, blocks)
         return orderly
 
     monkeypatch.setattr(kernels, "count_profile_orbits", both)
@@ -213,6 +248,7 @@ def test_backends_agree(monkeypatch):
 def test_benchmark_cases_match_brute_force(case):
     m_size, f_values, blocks = BENCHMARK_CASES[case]
     expected = brute_force_profile_orbits(m_size, f_values, blocks)
+    assert per_representative_profile_orbits(m_size, f_values, blocks) == expected
     assert kernels.count_profile_orbits(m_size, f_values, blocks) == expected
 
 
@@ -292,6 +328,17 @@ def test_kernel_checks_well_definedness():
     assert kernels.count_profile_orbits(3, [0, 0, 0], [(2, 2, [0, 1], 2)]) == 12
 
 
+def test_kernel_checks_well_definedness_of_every_block():
+    # the first block is honest and the second drifts: checking only the
+    # fillings of the first block would miss it
+    blocks = [(1, 1, [0], 1), (2, 2, _DriftingValues([0, 1], 2), 2)]
+    with pytest.raises(OrbitCheckError, match="not well defined"):
+        kernels.count_profile_orbits(4, [0, 1, 0, 1], blocks)
+    honest = [(1, 1, [0], 1), (2, 2, [0, 1], 2)]
+    expected = brute_force_profile_orbits(4, [0, 1, 0, 1], honest)
+    assert kernels.count_profile_orbits(4, [0, 1, 0, 1], honest) == expected == 48
+
+
 def test_kernel_checks_freeness(monkeypatch):
     # an enumeration that misses one point subset no longer covers every tuple
     monkeypatch.setattr(
@@ -320,7 +367,7 @@ def test_an_inexact_representative_count_raises_a_named_error(monkeypatch):
         finite_model, "math", SimpleNamespace(perm=lambda m, s: 1, factorial=math.factorial)
     )
     with pytest.raises(InexactDivisionError, match="1 / 2 leaves the remainder 1"):
-        finite_model.check_budget(3, [FiniteMap.constant(1)], 2)
+        finite_model.check_budget(3, [1], 2)
     err = io.StringIO()
     argv = ["oracle", "--m-size", "3", "--target-size", "1", "--coeff-sizes", "1", "--order", "2"]
     assert cli.main(argv, out=io.StringIO(), err=err) == 2
