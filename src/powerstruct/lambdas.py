@@ -15,10 +15,15 @@ Every unit series factors uniquely as prod_i lambda_{b_i}(t^i).  Scaling
 each b_i by a ring element m and recombining is the power structure attached
 to the lambda-structure.  Log and Exp take one route per ring:
 
-- Over Z[x...] Exp builds that product; Log peels it degree by degree,
-  multiplying by lambda_{-b_k}(t^k) = lambda_{b_k}(t^k)^{-1}, so it takes no
-  series inverse.  The factors (1 - x*t^k)^{+-p} stay short, where a ghost
-  sum would convolve every Adams term with the full dense result.
+- Over Z[x...] Exp multiplies the factors lambda_{b_k}(t^k) into one list
+  of packed term maps in place (Ring.multiply_unit_into), and Log peels A
+  the same way, degree by degree, multiplying the residual by
+  lambda_{-b_k}(t^k) = lambda_{b_k}(t^k)^{-1}, so it takes no series
+  inverse.  A step reads only the factor's coefficients at t^k, t^2k, ...
+  and rebuilds only the degrees it changes; a coefficient becomes a
+  polynomial once, when it is handed out.  The factors (1 - x*t^k)^{+-p}
+  stay short, where a ghost sum would convolve every Adams term with the
+  full dense result.
 - Over Z they run Newton's identities on int lists.  With t*A'/A =
   sum_n s_n t^n and the Adams operations psi^r(b) = sigma^(r+1)*b, the ghost
   sums are s_n = sum_{i | n} i*psi^(n/i)(b_i) and n*a_n = sum_{k<=n} s_k*a_{n-k},
@@ -109,46 +114,55 @@ def decompose_product(A: TruncatedSeries, lam: LambdaStructure) -> List:
 
     Over Z[x...] this peels degrees bottom-up: after multiplying A by
     prod_{i<k} lambda_{-b_i}(t^i), the inverse of prod_{i<k} lambda_{b_i}(t^i),
-    the residual is 1 + b_k t^k + O(t^{k+1}).  Over Z it solves Newton's
+    the residual is 1 + b_k t^k + O(t^{k+1}).  The residual is a list of
+    packed term maps, a copy of A's, that each factor multiplies in place
+    from degree k + 1 up; degree k cancels to 0.  Over Z it solves Newton's
     identities instead (`_int_log`), one int convolution in all.
     """
     if A.ring != lam.ring:
         raise ValueError(f"series over {A.ring.name}, lambda over {lam.ring.name}")
     if not A.is_unit():
         raise NonUnitError("only series with constant term 1 decompose")
-    if A.ring.is_integers:
+    ring, order = A.ring, A.order
+    if ring.is_integers:
         return _int_log(A.coefficients, _SIGN[lam.kind])
-    residual = A
+    residual = ring.term_maps(A.coefficients)
     bs: List = []
-    for k in range(1, A.order + 1):
-        b_k = residual.coefficients[k]
+    for k in range(1, order + 1):
+        b_k = ring.from_term_map(residual[k])
         bs.append(b_k)
         if b_k:
             _check_domain(lam, b_k)  # before negating, so the error names b_k
-            residual = residual * _factor(lam, -b_k, k, A.order)
+            factor = _factor(lam, -b_k, k, order)
+            # lambda_{-b_k}(t^k) = 1 - b_k t^k + ... cancels degree k exactly
+            ring.multiply_unit_into(residual, k, factor.coefficients[k::k], k + 1)
+            residual[k] = {}  # b_k keeps its own map
     return bs
 
 
 def exp_map(B: Sequence, lam: LambdaStructure, order: int) -> TruncatedSeries:
     """Exp(b_1 t + b_2 t^2 + ...) = prod_k lambda_{b_k}(t^k), truncated at `order`.
 
-    Over Z[x...] this multiplies the factors lambda_{b_k}(t^k); over Z it
-    solves Newton's identities instead (`_int_exp`), one int convolution in all.
+    Over Z[x...] this multiplies the factors lambda_{b_k}(t^k) into one list
+    of packed term maps in place, each from degree k up, and makes the
+    polynomials at the end; over Z it solves Newton's identities instead
+    (`_int_exp`), one int convolution in all.
     """
     _check_order(order)
     ring = lam.ring
     if ring.is_integers:
         bs = [ring.coerce(b) for b in islice(B, order)]
         return TruncatedSeries._raw(ring, _int_exp(bs, _SIGN[lam.kind], order))
-    result = TruncatedSeries.one(ring, order)
+    result = ring.term_maps(TruncatedSeries.one(ring, order).coefficients)
     for k, b in enumerate(B, start=1):
         if k > order:
             break
         b = ring.coerce(b)
         if not b:
             continue
-        result = result * _factor(lam, b, k, order)
-    return result
+        factor = _factor(lam, b, k, order)
+        ring.multiply_unit_into(result, k, factor.coefficients[k::k], k)
+    return TruncatedSeries._raw(ring, [ring.from_term_map(c) for c in result])
 
 
 def log_map(A: TruncatedSeries, lam: LambdaStructure) -> List:

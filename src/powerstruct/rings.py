@@ -6,8 +6,10 @@ SparsePolynomial values).  Rings with different variable lists are distinct;
 the only bridge between them is `substitute`, which realizes a ring
 homomorphism by mapping every variable to an element of the target ring.
 
-All values are immutable after construction and every operation is a pure
-function, so everything here is safe for unrestricted concurrent reads.
+All values are immutable after construction and every operation but one is
+a pure function, so everything here is safe for unrestricted concurrent
+reads; Ring.multiply_unit_into changes only the list of term maps that its
+caller passes in.
 """
 
 from __future__ import annotations
@@ -468,6 +470,65 @@ class Ring(Immutable):
                 acc = {e: c for e, c in acc.items() if c}
             out.append(raw(variables, acc))
         return out
+
+    # -- in-place unit products over Z[x...] --------------------------------
+
+    def term_maps(self, elements: Iterable["SparsePolynomial"]) -> List[Dict[int, int]]:
+        """A fresh copy of each polynomial's packed term map, for
+        multiply_unit_into; no map is shared with an element."""
+        return [dict(c._terms) for c in elements]
+
+    def from_term_map(self, terms: Dict[int, int]) -> "SparsePolynomial":
+        """The polynomial whose packed terms are `terms`, with no zero
+        coefficient; the caller must not change the map afterwards."""
+        return SparsePolynomial._raw(self.variables, terms)
+
+    def multiply_unit_into(self, sums: List[Dict[int, int]], k: int,
+                           steps: Sequence["SparsePolynomial"], low: int) -> None:
+        """Multiply the series whose coefficient d has the packed terms
+        sums[d] by 1 + steps[0]*t^k + steps[1]*t^(2k) + ..., in place, for the
+        degrees `low`..N only; the caller knows the product leaves the
+        degrees below unchanged (or, for a Log peel step, zero at `low` - 1).
+
+        Degrees are rebuilt from the top down, so every source d - j*k still
+        holds its value from before the step.  A rebuilt degree gets a new map
+        (a map in `sums` is never changed) whose terms are added in the order
+        that `convolve` adds them: the sources in ascending degree, then the
+        degree's own terms.  The rebuilt maps are checked for a degree
+        overflow in ascending degree, before their zero coefficients are
+        dropped, so the same product raises the same DegreeOverflowError as
+        `convolve`.
+        """
+        # descending j*k, so that the sources d - j*k come in ascending degree
+        steps = [(j * k, list(f._terms.items())) for j, f in enumerate(steps, start=1) if f._terms]
+        steps.reverse()
+        rebuilt = []
+        for d in range(len(sums) - 1, low - 1, -1):
+            acc = None
+            for jk, terms_j in steps:
+                if jk > d:
+                    continue
+                source = sums[d - jk]
+                if not source:
+                    continue
+                if acc is None:
+                    acc = {}
+                    get = acc.get
+                for e1, c1 in source.items():
+                    for e2, c2 in terms_j:
+                        key = e1 + e2
+                        acc[key] = get(key, 0) + c1 * c2
+            if acc is not None:
+                for key, c in sums[d].items():
+                    acc[key] = get(key, 0) + c
+                sums[d] = acc
+                rebuilt.append(d)
+        variables = self.variables
+        for d in reversed(rebuilt):
+            acc = sums[d]
+            _check_degrees(variables, acc)
+            if 0 in acc.values():
+                sums[d] = {e: c for e, c in acc.items() if c}
 
     def coerce(self, x):
         """Accept ints always; polynomials only from this exact ring."""

@@ -4,12 +4,13 @@ A TruncatedSeries of order N stores the coefficients of t^0..t^N exactly;
 binary operations between series of different orders truncate to the smaller
 order, so the finitely-determined property can be exercised directly.
 Storage is dense: orders stay small (<= ~64) at the scales this engine
-targets.  Products and inverses visit only the nonzero coefficients, because
-the factors of a Log/Exp decomposition are series in t^k, nonzero only at
-multiples of k.  A product is one Ring.convolve call: over Z[x...] it adds
-every term pair into one packed-key map per output coefficient, without an
-intermediate polynomial, and checks each map's degrees once, before its zero
-coefficients are dropped.
+targets.  Products and inverses visit only the nonzero coefficients.  A
+product is one Ring.convolve call: over Z[x...] it adds every term pair into
+one packed-key map per output coefficient, without an intermediate
+polynomial, and checks each map's degrees once, before its zero coefficients
+are dropped.  Log and Exp over Z[x...] run no series product per lambda
+factor: they multiply the factors in place with Ring.multiply_unit_into,
+which checks degrees the same way (see lambdas).
 """
 
 from __future__ import annotations

@@ -6,16 +6,18 @@ of nonzero coefficients), the dense inverse, the generic lambda factor
 (1 - x*t)^e built by ring multiplication, the per-kind lambda series (one
 branch per lambda kind), the factor-by-factor Log/Exp that build every
 factor lambda_b(t^k) to the full order N before rescaling and invert it for
-Log, the punctual Hilbert series as a product of inverted binomials, the
-brute-force orbit count that visits every element of every orbit, the
-orderly orbit count that checks well-definedness again on every
-representative, the multiset maps S^k f and B_k f that index one selected
-point at a time, the two-stage parser that builds an AST, walks it once to
-infer the ring and again to evaluate it, and the closed-form integer power
-summed one charge profile at a time.  They are kept only so tests can compare the fast routes
-against them; they share no lambda code with the library but
-charge_profiles and generalized_binomial, and the parser shares only the
-tokenizer.
+Log, the Log/Exp that take one series product per lambda factor, the
+punctual Hilbert series as a product of inverted binomials, the brute-force
+orbit count that visits every element of every orbit, the orderly orbit
+count that checks well-definedness again on every representative, the
+multiset maps S^k f and B_k f that index one selected point at a time, the
+two-stage parser that builds an AST, walks it once to infer the ring and
+again to evaluate it, and the closed-form integer power summed one charge
+profile at a time.  They are kept only so tests can compare the fast routes
+against them.  They share no lambda code with the library but
+charge_profiles and generalized_binomial, except the series-product Log/Exp,
+which multiply the library's own lambda factors with its series product; the
+parser shares only the tokenizer.
 """
 
 import itertools
@@ -29,12 +31,14 @@ from powerstruct.kernels import Block, OrbitCheckError
 from powerstruct.lambdas import (
     LambdaStructure,
     UnsupportedLambdaError,
+    _check_domain,
+    _factor,
     charge_profiles,
     generalized_binomial,
 )
 from powerstruct.parsing import ParseError, _tokenize
 from powerstruct.rings import ArityError, ExponentVector, Ring, UnboundVariableError
-from powerstruct.series import NonUnitError, TruncatedSeries
+from powerstruct.series import NonUnitError, TruncatedSeries, _check_order
 
 
 def dense_mul(a: TruncatedSeries, b: TruncatedSeries) -> TruncatedSeries:
@@ -272,6 +276,44 @@ def full_order_power(A: TruncatedSeries, m, lam: LambdaStructure) -> TruncatedSe
     m = ring.coerce(m)
     bs = full_order_decompose(A, lam)
     return full_order_exp([m * b for b in bs], lam, A.order)
+
+
+def series_product_decompose(A: TruncatedSeries, lam: LambdaStructure) -> List:
+    """Log by one series product per peel step, residual * lambda_{-b_k}(t^k)."""
+    if A.ring != lam.ring:
+        raise ValueError(f"series over {A.ring.name}, lambda over {lam.ring.name}")
+    if not A.is_unit():
+        raise NonUnitError("only series with constant term 1 decompose")
+    residual = A
+    bs: List = []
+    for k in range(1, A.order + 1):
+        b_k = residual.coefficients[k]
+        bs.append(b_k)
+        if b_k:
+            _check_domain(lam, b_k)  # before negating, so the error names b_k
+            residual = residual * _factor(lam, -b_k, k, A.order)
+    return bs
+
+
+def series_product_exp(B: Sequence, lam: LambdaStructure, order: int) -> TruncatedSeries:
+    """Exp by one series product per nonzero b_k, result * lambda_{b_k}(t^k)."""
+    _check_order(order)
+    ring = lam.ring
+    result = TruncatedSeries.one(ring, order)
+    for k, b in enumerate(B, start=1):
+        if k > order:
+            break
+        b = ring.coerce(b)
+        if not b:
+            continue
+        result = result * _factor(lam, b, k, order)
+    return result
+
+
+def series_product_power(A: TruncatedSeries, m, lam: LambdaStructure) -> TruncatedSeries:
+    m = lam.ring.coerce(m)
+    bs = series_product_decompose(A, lam)
+    return series_product_exp([m * b for b in bs], lam, A.order)
 
 
 def hand_rolled_hilb_local_surface(order: int) -> TruncatedSeries:

@@ -239,6 +239,18 @@ def test_degree_overflow_exit_code():
     assert (rc, out, err) == (0, "t^0: 1\nt^1: 2*u^2147483647\n", "")
 
 
+def test_log_names_the_overflow_of_the_lowest_degree():
+    # peeling b_1 overflows t^2 (u^2^31), t^3 and t^4 at once; the error
+    # names t^2's exponent, as the series product that checks degrees
+    # bottom-up does
+    rc, out, err = run(
+        ["log", "--ring", "Z[u]", "--lambda", "poly-product", "--order", "4", "--series",
+         "1+u^1073741824*t+u^1073741829*t^2+u^1073741830*t^3"]
+    )
+    assert (rc, out) == (2, "")
+    assert err == "error: exponent 2147483648 of variable u exceeds the limit 2147483647\n"
+
+
 def test_budget_counts_orbit_representatives():
     # {1: 3} spans 6^3 * 3^3 = 5832 tuples of points and states, above the
     # budget, but only perm(6, 3) * 3^3 / 3! = 540 orbit representatives
