@@ -16,8 +16,9 @@ each b_i by a ring element m and recombining is the power structure attached
 to the lambda-structure.  Log and Exp take one route per ring:
 
 - Over Z[x...] Exp multiplies the factors lambda_{b_k}(t^k) into one list
-  of packed term maps in place (Ring.multiply_unit_into), and Log peels A
-  the same way, degree by degree, multiplying the residual by
+  of packed term maps in place (Ring.multiply_into, the kernel of every
+  product over Z[x...]), and Log peels A the same way, degree by degree,
+  multiplying the residual by
   lambda_{-b_k}(t^k) = lambda_{b_k}(t^k)^{-1}, so it takes no series
   inverse.  A step reads only the factor's coefficients at t^k, t^2k, ...
   and rebuilds only the degrees it changes; a coefficient becomes a
@@ -126,7 +127,8 @@ def decompose_product(A: TruncatedSeries, lam: LambdaStructure) -> List:
     ring, order = A.ring, A.order
     if ring.is_integers:
         return _int_log(A.coefficients, _SIGN[lam.kind])
-    residual = ring.term_maps(A.coefficients)
+    # copies, so that no b_k handed out shares a map with A
+    residual = [dict(c) for c in ring.term_maps(A.coefficients)]
     bs: List = []
     for k in range(1, order + 1):
         b_k = ring.from_term_map(residual[k])
@@ -135,7 +137,7 @@ def decompose_product(A: TruncatedSeries, lam: LambdaStructure) -> List:
             _check_domain(lam, b_k)  # before negating, so the error names b_k
             factor = _factor(lam, -b_k, k, order)
             # lambda_{-b_k}(t^k) = 1 - b_k t^k + ... cancels degree k exactly
-            ring.multiply_unit_into(residual, k, factor.coefficients[k::k], k + 1)
+            ring.multiply_into(residual, factor.coefficients[::k], k, k + 1)
             residual[k] = {}  # b_k keeps its own map
     return bs
 
@@ -153,7 +155,7 @@ def exp_map(B: Sequence, lam: LambdaStructure, order: int) -> TruncatedSeries:
     if ring.is_integers:
         bs = [ring.coerce(b) for b in islice(B, order)]
         return TruncatedSeries._raw(ring, _int_exp(bs, _SIGN[lam.kind], order))
-    result = ring.term_maps(TruncatedSeries.one(ring, order).coefficients)
+    result = [dict(c) for c in ring.term_maps(TruncatedSeries.one(ring, order).coefficients)]
     for k, b in enumerate(B, start=1):
         if k > order:
             break
@@ -161,7 +163,7 @@ def exp_map(B: Sequence, lam: LambdaStructure, order: int) -> TruncatedSeries:
         if not b:
             continue
         factor = _factor(lam, b, k, order)
-        ring.multiply_unit_into(result, k, factor.coefficients[k::k], k)
+        ring.multiply_into(result, factor.coefficients[::k], k, k)
     return TruncatedSeries._raw(ring, [ring.from_term_map(c) for c in result])
 
 

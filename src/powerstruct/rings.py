@@ -6,10 +6,15 @@ SparsePolynomial values).  Rings with different variable lists are distinct;
 the only bridge between them is `substitute`, which realizes a ring
 homomorphism by mapping every variable to an element of the target ring.
 
+Every product over Z[x1,...,xr] (of two polynomials, of two series, or of
+a series and a lambda factor) runs one kernel, `_multiply_into`, which adds
+term pairs into packed-key maps and checks their degrees once, before zero
+coefficients are dropped.
+
 All values are immutable after construction and every operation but one is
 a pure function, so everything here is safe for unrestricted concurrent
-reads; Ring.multiply_unit_into changes only the list of term maps that its
-caller passes in.
+reads; Ring.multiply_into changes only the list of term maps that its
+caller passes in, never a map.
 """
 
 from __future__ import annotations
@@ -86,6 +91,63 @@ def _check_degrees(variables: Tuple[str, ...], terms: Dict[int, int]) -> None:
             for v, e in zip(variables, _unpack(key, len(variables))):
                 if e > MAX_EXPONENT:
                     raise DegreeOverflowError(v, e)
+
+
+def _multiply_into(variables: Tuple[str, ...], sums: List[Dict[int, int]],
+                   factor: Sequence["SparsePolynomial"], k: int, low: int) -> None:
+    """Multiply the series whose coefficient d has the packed terms sums[d]
+    by factor[0] + factor[1]*t^k + factor[2]*t^(2k) + ..., in place, for the
+    degrees `low`..N only; the caller knows the product leaves the degrees
+    below unchanged (or, for a Log peel step, zero at `low` - 1).  A
+    polynomial product is the case N = 0.
+
+    This is the one loop that adds term pairs into packed-key maps.  Degrees
+    are rebuilt from the top down, so every source d - j*k still holds its
+    value from before the product, and a rebuilt degree gets a new map: no
+    map in `sums` is ever changed.  Term pairs are added with the sources in
+    ascending degree, each source term against every factor term.  When
+    factor[0] is 1, a degree that no other source reaches keeps its map and
+    a rebuilt degree adds its own terms last; otherwise a degree that no
+    source reaches becomes empty.  The rebuilt maps are checked for a degree
+    overflow in ascending degree, before their zero coefficients are
+    dropped, so a product raises DegreeOverflowError even where its
+    overflowing monomials cancel, and the same product always names the
+    same exponent.
+    """
+    unit = factor[0]._terms == {0: 1}
+    # descending j*k, so that the sources d - j*k come in ascending degree
+    steps = [(j * k, list(f._terms.items()))
+             for j, f in enumerate(factor) if f._terms and (j or not unit)]
+    steps.reverse()
+    rebuilt = []
+    for d in range(len(sums) - 1, low - 1, -1):
+        acc = None
+        for jk, terms_j in steps:
+            if jk > d:
+                continue
+            source = sums[d - jk]
+            if not source:
+                continue
+            if acc is None:
+                acc = {}
+                get = acc.get
+            for e1, c1 in source.items():
+                for e2, c2 in terms_j:
+                    key = e1 + e2
+                    acc[key] = get(key, 0) + c1 * c2
+        if acc is not None:
+            if unit:
+                for key, c in sums[d].items():
+                    acc[key] = get(key, 0) + c
+            sums[d] = acc
+            rebuilt.append(d)
+        elif not unit:
+            sums[d] = {}
+    for d in reversed(rebuilt):
+        acc = sums[d]
+        _check_degrees(variables, acc)
+        if 0 in acc.values():
+            sums[d] = {e: c for e, c in acc.items() if c}
 
 
 def exact_quotient(n: int, d: int) -> int:
@@ -255,15 +317,10 @@ class SparsePolynomial(Immutable):
                 terms = {e1 + e2: c1 * c2 for e2, c2 in right.items()}
                 _check_degrees(self.variables, terms)
             return SparsePolynomial._raw(self.variables, terms)
-        terms: Dict[int, int] = {}
-        get = terms.get
-        for e1, c1 in left.items():
-            for e2, c2 in right.items():
-                key = e1 + e2
-                terms[key] = get(key, 0) + c1 * c2
-        terms = {e: c for e, c in terms.items() if c}
-        _check_degrees(self.variables, terms)
-        return SparsePolynomial._raw(self.variables, terms)
+        # self outer and other inner, as in a series product of order 0
+        sums = [self._terms]
+        _multiply_into(self.variables, sums, (other,), 1, 0)
+        return SparsePolynomial._raw(self.variables, sums[0])
 
     def __pow__(self, n: int) -> "SparsePolynomial":
         if n < 0:
@@ -427,108 +484,24 @@ class Ring(Immutable):
         raw = SparsePolynomial._raw
         return [raw(variables, {j * key: c} if c else {}) for j, c in enumerate(coeffs)]
 
-    def convolve(self, left: Sequence[Tuple[int, object]],
-                 right: Sequence[Tuple[int, object]], n: int) -> list:
-        """Coefficients 0..n of the product of two coefficient sequences, each
-        given as (index, nonzero element) pairs in ascending index order.
-
-        Over Z[x...] every term pair of every coefficient pair is added into
-        one packed-key map per output coefficient, with no intermediate
-        polynomial.  Each map's keys are checked for a degree overflow before
-        its zero coefficients are dropped, so a product raises
-        DegreeOverflowError even where its overflowing monomials cancel.
-        """
-        if self.is_integers:
-            out = [0] * (n + 1)
-            for i, ci in left:
-                for j, cj in right:
-                    k = i + j
-                    if k > n:
-                        break
-                    out[k] += ci * cj
-            return out
-        variables = self.variables
-        sums: List[Dict[int, int]] = [{} for _ in range(n + 1)]
-        right_terms = [(j, list(cj._terms.items())) for j, cj in right]
-        for i, ci in left:
-            terms_i = list(ci._terms.items())
-            for j, terms_j in right_terms:
-                k = i + j
-                if k > n:
-                    break
-                acc = sums[k]
-                get = acc.get
-                for e1, c1 in terms_i:
-                    for e2, c2 in terms_j:
-                        key = e1 + e2
-                        acc[key] = get(key, 0) + c1 * c2
-        raw = SparsePolynomial._raw
-        out = []
-        for acc in sums:
-            _check_degrees(variables, acc)
-            if 0 in acc.values():
-                acc = {e: c for e, c in acc.items() if c}
-            out.append(raw(variables, acc))
-        return out
-
-    # -- in-place unit products over Z[x...] --------------------------------
+    # -- in-place products over Z[x...] -------------------------------------
 
     def term_maps(self, elements: Iterable["SparsePolynomial"]) -> List[Dict[int, int]]:
-        """A fresh copy of each polynomial's packed term map, for
-        multiply_unit_into; no map is shared with an element."""
-        return [dict(c._terms) for c in elements]
+        """Each polynomial's own packed term map, not a copy: read it or hand
+        the list to multiply_into, which replaces maps and never changes one."""
+        return [c._terms for c in elements]
 
     def from_term_map(self, terms: Dict[int, int]) -> "SparsePolynomial":
         """The polynomial whose packed terms are `terms`, with no zero
         coefficient; the caller must not change the map afterwards."""
         return SparsePolynomial._raw(self.variables, terms)
 
-    def multiply_unit_into(self, sums: List[Dict[int, int]], k: int,
-                           steps: Sequence["SparsePolynomial"], low: int) -> None:
-        """Multiply the series whose coefficient d has the packed terms
-        sums[d] by 1 + steps[0]*t^k + steps[1]*t^(2k) + ..., in place, for the
-        degrees `low`..N only; the caller knows the product leaves the
-        degrees below unchanged (or, for a Log peel step, zero at `low` - 1).
-
-        Degrees are rebuilt from the top down, so every source d - j*k still
-        holds its value from before the step.  A rebuilt degree gets a new map
-        (a map in `sums` is never changed) whose terms are added in the order
-        that `convolve` adds them: the sources in ascending degree, then the
-        degree's own terms.  The rebuilt maps are checked for a degree
-        overflow in ascending degree, before their zero coefficients are
-        dropped, so the same product raises the same DegreeOverflowError as
-        `convolve`.
-        """
-        # descending j*k, so that the sources d - j*k come in ascending degree
-        steps = [(j * k, list(f._terms.items())) for j, f in enumerate(steps, start=1) if f._terms]
-        steps.reverse()
-        rebuilt = []
-        for d in range(len(sums) - 1, low - 1, -1):
-            acc = None
-            for jk, terms_j in steps:
-                if jk > d:
-                    continue
-                source = sums[d - jk]
-                if not source:
-                    continue
-                if acc is None:
-                    acc = {}
-                    get = acc.get
-                for e1, c1 in source.items():
-                    for e2, c2 in terms_j:
-                        key = e1 + e2
-                        acc[key] = get(key, 0) + c1 * c2
-            if acc is not None:
-                for key, c in sums[d].items():
-                    acc[key] = get(key, 0) + c
-                sums[d] = acc
-                rebuilt.append(d)
-        variables = self.variables
-        for d in reversed(rebuilt):
-            acc = sums[d]
-            _check_degrees(variables, acc)
-            if 0 in acc.values():
-                sums[d] = {e: c for e, c in acc.items() if c}
+    def multiply_into(self, sums: List[Dict[int, int]],
+                      factor: Sequence["SparsePolynomial"], k: int, low: int) -> None:
+        """Multiply the series of packed term maps `sums` in place by
+        factor[0] + factor[1]*t^k + ..., for the degrees `low`..N: the
+        kernel `_multiply_into` over this ring's variables."""
+        _multiply_into(self.variables, sums, factor, k, low)
 
     def coerce(self, x):
         """Accept ints always; polynomials only from this exact ring."""

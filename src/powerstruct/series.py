@@ -4,13 +4,13 @@ A TruncatedSeries of order N stores the coefficients of t^0..t^N exactly;
 binary operations between series of different orders truncate to the smaller
 order, so the finitely-determined property can be exercised directly.
 Storage is dense: orders stay small (<= ~64) at the scales this engine
-targets.  Products and inverses visit only the nonzero coefficients.  A
-product is one Ring.convolve call: over Z[x...] it adds every term pair into
-one packed-key map per output coefficient, without an intermediate
+targets.  Products and inverses visit only the nonzero coefficients.  Over
+Z a product is an int double loop; over Z[x...] it is one Ring.multiply_into
+call, the kernel that every polynomial product runs: it adds every term pair
+into one packed-key map per output coefficient, without an intermediate
 polynomial, and checks each map's degrees once, before its zero coefficients
-are dropped.  Log and Exp over Z[x...] run no series product per lambda
-factor: they multiply the factors in place with Ring.multiply_unit_into,
-which checks degrees the same way (see lambdas).
+are dropped.  Log and Exp over Z[x...] run the same kernel once per lambda
+factor, in place (see lambdas).
 """
 
 from __future__ import annotations
@@ -123,9 +123,20 @@ class TruncatedSeries(Immutable):
 
     def __mul__(self, other: "TruncatedSeries") -> "TruncatedSeries":
         n = self._common(other)
-        return TruncatedSeries._raw(self.ring, self.ring.convolve(
-            _nonzero_terms(self.coefficients, n), _nonzero_terms(other.coefficients, n), n
-        ))
+        ring = self.ring
+        if ring.is_integers:
+            out = [0] * (n + 1)
+            right = _nonzero_terms(other.coefficients, n)
+            for i, ci in _nonzero_terms(self.coefficients, n):
+                for j, cj in right:
+                    k = i + j
+                    if k > n:
+                        break
+                    out[k] += ci * cj
+            return TruncatedSeries._raw(ring, out)
+        sums = ring.term_maps(self.coefficients[: n + 1])
+        ring.multiply_into(sums, other.coefficients[: n + 1], 1, 0)
+        return TruncatedSeries._raw(ring, [ring.from_term_map(c) for c in sums])
 
     def invert(self) -> "TruncatedSeries":
         """Multiplicative inverse of a series with constant term 1."""

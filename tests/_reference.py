@@ -1,6 +1,8 @@
 """Slow reference routes that the fast series, lambda, Log/Exp and orbit paths must equal.
 
 These are the tuple-keyed polynomial arithmetic, the dense convolution, the
+term-pair convolution of packed-key maps (`convolve`, one fresh map per output
+coefficient, sharing no loop with the library's in-place kernel), the
 operator-generic sparse product (one ring product and one ring sum per pair
 of nonzero coefficients), the dense inverse, the generic lambda factor
 (1 - x*t)^e built by ring multiplication, the per-kind lambda series (one
@@ -16,7 +18,7 @@ again to evaluate it, and the closed-form integer power summed one charge
 profile at a time.  They are kept only so tests can compare the fast routes
 against them.  They share no lambda code with the library but
 charge_profiles and generalized_binomial, except the series-product Log/Exp,
-which multiply the library's own lambda factors with its series product; the
+which multiply the library's own lambda factors with `convolve_mul`; the
 parser shares only the tokenizer.
 """
 
@@ -37,7 +39,14 @@ from powerstruct.lambdas import (
     generalized_binomial,
 )
 from powerstruct.parsing import ParseError, _tokenize
-from powerstruct.rings import ArityError, ExponentVector, Ring, UnboundVariableError
+from powerstruct.rings import (
+    ArityError,
+    ExponentVector,
+    Ring,
+    SparsePolynomial,
+    UnboundVariableError,
+    _check_degrees,
+)
 from powerstruct.series import NonUnitError, TruncatedSeries, _check_order
 
 
@@ -71,6 +80,61 @@ def sparse_mul(a: TruncatedSeries, b: TruncatedSeries) -> TruncatedSeries:
             acc = out[k]
             out[k] = p if acc is None else acc + p
     return TruncatedSeries(ring, [ring.zero if c is None else c for c in out])
+
+
+def convolve(ring: Ring, left: Sequence[Tuple[int, object]],
+             right: Sequence[Tuple[int, object]], n: int) -> list:
+    """Coefficients 0..n of the product of two coefficient sequences, each
+    given as (index, nonzero element) pairs in ascending index order.
+
+    Over Z[x...] every term pair of every coefficient pair is added into
+    one packed-key map per output coefficient, with no intermediate
+    polynomial.  Each map's keys are checked for a degree overflow before
+    its zero coefficients are dropped, so a product raises
+    DegreeOverflowError even where its overflowing monomials cancel.
+    """
+    if ring.is_integers:
+        out = [0] * (n + 1)
+        for i, ci in left:
+            for j, cj in right:
+                k = i + j
+                if k > n:
+                    break
+                out[k] += ci * cj
+        return out
+    variables = ring.variables
+    sums: List[Dict[int, int]] = [{} for _ in range(n + 1)]
+    right_terms = [(j, list(cj._terms.items())) for j, cj in right]
+    for i, ci in left:
+        terms_i = list(ci._terms.items())
+        for j, terms_j in right_terms:
+            k = i + j
+            if k > n:
+                break
+            acc = sums[k]
+            get = acc.get
+            for e1, c1 in terms_i:
+                for e2, c2 in terms_j:
+                    key = e1 + e2
+                    acc[key] = get(key, 0) + c1 * c2
+    raw = SparsePolynomial._raw
+    out = []
+    for acc in sums:
+        _check_degrees(variables, acc)
+        if 0 in acc.values():
+            acc = {e: c for e, c in acc.items() if c}
+        out.append(raw(variables, acc))
+    return out
+
+
+def convolve_mul(a: TruncatedSeries, b: TruncatedSeries) -> TruncatedSeries:
+    """a * b by `convolve` over the nonzero coefficients: the series product
+    as it was before series, lambda-factor and polynomial products shared one
+    in-place kernel, with the same ring check and the same errors."""
+    n = a._common(b)
+    left = [(i, c) for i, c in enumerate(a.coefficients[: n + 1]) if c]
+    right = [(j, c) for j, c in enumerate(b.coefficients[: n + 1]) if c]
+    return TruncatedSeries._raw(a.ring, convolve(a.ring, left, right, n))
 
 
 def dense_invert(a: TruncatedSeries) -> TruncatedSeries:
@@ -279,7 +343,7 @@ def full_order_power(A: TruncatedSeries, m, lam: LambdaStructure) -> TruncatedSe
 
 
 def series_product_decompose(A: TruncatedSeries, lam: LambdaStructure) -> List:
-    """Log by one series product per peel step, residual * lambda_{-b_k}(t^k)."""
+    """Log by one `convolve_mul` per peel step, residual * lambda_{-b_k}(t^k)."""
     if A.ring != lam.ring:
         raise ValueError(f"series over {A.ring.name}, lambda over {lam.ring.name}")
     if not A.is_unit():
@@ -291,12 +355,12 @@ def series_product_decompose(A: TruncatedSeries, lam: LambdaStructure) -> List:
         bs.append(b_k)
         if b_k:
             _check_domain(lam, b_k)  # before negating, so the error names b_k
-            residual = residual * _factor(lam, -b_k, k, A.order)
+            residual = convolve_mul(residual, _factor(lam, -b_k, k, A.order))
     return bs
 
 
 def series_product_exp(B: Sequence, lam: LambdaStructure, order: int) -> TruncatedSeries:
-    """Exp by one series product per nonzero b_k, result * lambda_{b_k}(t^k)."""
+    """Exp by one `convolve_mul` per nonzero b_k, result * lambda_{b_k}(t^k)."""
     _check_order(order)
     ring = lam.ring
     result = TruncatedSeries.one(ring, order)
@@ -306,7 +370,7 @@ def series_product_exp(B: Sequence, lam: LambdaStructure, order: int) -> Truncat
         b = ring.coerce(b)
         if not b:
             continue
-        result = result * _factor(lam, b, k, order)
+        result = convolve_mul(result, _factor(lam, b, k, order))
     return result
 
 

@@ -251,6 +251,18 @@ def test_log_names_the_overflow_of_the_lowest_degree():
     assert err == "error: exponent 2147483648 of variable u exceeds the limit 2147483647\n"
 
 
+def test_a_polynomial_product_names_the_exponent_its_series_product_names():
+    # m * b_1 = (u^2^30 - u^(2^30-1)) * (u^2^30 + u^(2^30+1)): the first term
+    # pair above the limit, u^2^31, cancels; the product is checked before its
+    # zero coefficients are dropped, as a series product of order 0 is
+    rc, out, err = run(
+        ["power", "--ring", "Z[u]", "--lambda", "poly-product", "--order", "1", "--series",
+         "1 + (u^1073741824 + u^1073741825)*t", "--exponent", "u^1073741824 - u^1073741823"]
+    )
+    assert (rc, out) == (2, "")
+    assert err == "error: exponent 2147483648 of variable u exceeds the limit 2147483647\n"
+
+
 def test_budget_counts_orbit_representatives():
     # {1: 3} spans 6^3 * 3^3 = 5832 tuples of points and states, above the
     # budget, but only perm(6, 3) * 3^3 / 3! = 540 orbit representatives

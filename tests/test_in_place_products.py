@@ -1,5 +1,5 @@
 """Log, Exp and power over Z[x...] multiply the lambda factors into one list of
-packed term maps in place (Ring.multiply_unit_into).  They equal the
+packed term maps in place (Ring.multiply_into).  They equal the
 series-product and full-order references, raise the same errors near the
 degree limit, hand out no shared term map and run no series product where no
 factor needs one."""
@@ -291,5 +291,6 @@ def test_monomial_factors_run_no_series_product(monkeypatch):
         pytest.fail("a series product ran")
 
     monkeypatch.setattr(series, "_nonzero_terms", no_product)
+    monkeypatch.setattr(TruncatedSeries, "__mul__", no_product)
     assert (hilb_local_surface(16), exp_map(B, lam, 8)) == expected
     assert log_map(geometric_u, lam) == [u] + [UV.zero] * 5

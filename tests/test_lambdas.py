@@ -272,20 +272,20 @@ def test_integer_power_formula_visits_only_contributing_profiles(monkeypatch):
     def degree(p):
         return max((e for (e,) in p.terms), default=0)
 
-    mul, convolve = SparsePolynomial.__mul__, Ring.convolve
+    mul, series_mul = SparsePolynomial.__mul__, TruncatedSeries.__mul__
 
     def recording(self, other):
         product = mul(self, other)
         degrees.append(degree(product))
         return product
 
-    def recording_convolve(self, left, right, n):
-        coefficients = convolve(self, left, right, n)
-        degrees.append(max(map(degree, coefficients), default=0))
-        return coefficients
+    def recording_series(self, other):
+        product = series_mul(self, other)
+        degrees.append(max(map(degree, product.coefficients), default=0))
+        return product
 
     monkeypatch.setattr(SparsePolynomial, "__mul__", recording)
-    monkeypatch.setattr(Ring, "convolve", recording_convolve)
+    monkeypatch.setattr(TruncatedSeries, "__mul__", recording_series)
     assert integer_power_formula(sparse, -2) == sparse_expected
     # X = a*t^40 and X^2 = 0 ends the sum: the series products 1*X and X*X
     # and one weight times a; a sum that ran on to s = 40 would add 38 more
