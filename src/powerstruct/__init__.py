@@ -5,10 +5,9 @@ Library layout:
   rings         integers and sparse multivariate integer polynomials
   series        truncated formal power series over a chosen ring
   lambdas       lambda-structures, Exp/Log, power structures, integer power formula
-  finite_model  finite maps, S^k/B_k, the geometric enumeration oracle
+  finite_model  finite maps, S^k/B_k, the geometric orbit-counting oracle
   motivic       Hodge-level zeta and Hilbert-scheme generating series
   parsing, cli  expression front end and command-line interface
-  kernels       orderly orbit enumeration: one representative per orbit
 """
 
 from .finite_model import (
@@ -16,6 +15,7 @@ from .finite_model import (
     EquivalenceCheckError,
     FiniteMap,
     FiniteSeriesCheckError,
+    OrbitCheckError,
     class_of,
     combine,
     config_space_map,

@@ -22,10 +22,10 @@ from .finite_model import (
     EquivalenceCheckError,
     FiniteMap,
     FiniteSeriesCheckError,
+    OrbitCheckError,
     check_budget,
     geometric_power_coefficient,
 )
-from .kernels import OrbitCheckError
 from .lambdas import (
     LAMBDA_KINDS,
     LambdaStructure,

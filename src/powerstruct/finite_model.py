@@ -4,9 +4,11 @@ A FiniteMap is a total map {0..n-1} -> {0..q-1}.  Cut-and-paste relations
 slice any such map into point-to-point pieces, each equivalent to the unit,
 so the class of a map in the ring is its source size and the subring these
 classes generate is Z.  On top of that model this module builds symmetric
-powers S^k f, configuration maps B_k f, and the exhaustive enumeration oracle
-for the geometric power structure (sum over charge profiles of orbit counts
-of the blockwise symmetric-group action on off-diagonal tuples).
+powers S^k f, configuration maps B_k f, and the oracle for the geometric
+power structure: the sum over charge profiles of the orbit counts of the
+blockwise symmetric-group action on off-diagonal tuples.  That action is
+free, so each count is perm(m, s) * prod |X_i|^{k_i} / prod k_i!, and the
+oracle checks the sum against a count of particle configurations.
 """
 
 from __future__ import annotations
@@ -15,7 +17,6 @@ import itertools
 import math
 from typing import List, Optional, Sequence, Tuple
 
-from . import kernels
 from .lambdas import charge_profiles, LambdaStructure, power
 from .rings import INTEGERS, Immutable, exact_quotient
 from .series import TruncatedSeries
@@ -33,6 +34,10 @@ class EquivalenceCheckError(RuntimeError):
 
 class FiniteSeriesCheckError(RuntimeError):
     """A finite-model series disagrees with the algebraic power structure."""
+
+
+class OrbitCheckError(RuntimeError):
+    """The orbit total disagrees with the particle-configuration count."""
 
 
 class FiniteMap(Immutable):
@@ -181,8 +186,9 @@ def particle_configuration_count(m_size: int, coeff_sizes: Sequence[int], k: int
 
     Each point carries charge 0 or a pair (charge i, internal state in X_i).
     The points are added one at a time, keeping for every total charge r <= k
-    the number of configurations of the points so far; no orbit is
-    enumerated, so this is a route independent of the orbit kernel.
+    the number of configurations of the points so far.  This sums over points,
+    not over charge profiles, so it shares no step with the orbit counts that
+    geometric_power_coefficient checks against it.
     """
     if k < 0:
         raise ValueError("k must be nonnegative")
@@ -197,17 +203,20 @@ def particle_configuration_count(m_size: int, coeff_sizes: Sequence[int], k: int
 
 
 def _profiles(m_size: int, sizes: Sequence[int], k: int, budget: int):
-    """Every charge profile of t^k that can add orbits, given the sizes |X_i|.
+    """Every charge profile of t^k that can add orbits, with its orbit count.
 
     A profile needs a nonempty coefficient set for each charge, so its parts
     are the charges i with X_i nonempty, and distinct points, so it has at
-    most m_size parts; any other profile adds 0 orbits.  All are checked
-    against the budget before any is returned, so before any enumeration.
+    most m_size parts; any other profile adds 0 orbits.  The blockwise action
+    on off-diagonal tuples is free, so a profile with s = sum k_i particles
+    has perm(m, s) * prod |X_i|^{k_i} / prod k_i! orbits, one representative
+    each.  Returns the (profile, count) pairs, or refuses the first profile
+    whose count exceeds the budget.
     """
     if k < 1:
         raise ValueError("k must be positive")
-    profiles = list(charge_profiles(k, m_size, parts=[i for i, n in enumerate(sizes, 1) if n]))
-    for profile in profiles:
+    counted = []
+    for profile in charge_profiles(k, m_size, parts=[i for i, n in enumerate(sizes, 1) if n]):
         reps = math.perm(m_size, sum(profile.values()))
         for i, k_i in sorted(profile.items()):
             reps = exact_quotient(reps * sizes[i - 1] ** k_i, math.factorial(k_i))
@@ -216,7 +225,8 @@ def _profiles(m_size: int, sizes: Sequence[int], k: int, budget: int):
                 f"profile {dict(sorted(profile.items()))} needs {reps} orbit "
                 f"representatives (budget {budget})"
             )
-    return profiles
+        counted.append((profile, reps))
+    return counted
 
 
 def check_budget(
@@ -239,37 +249,21 @@ def geometric_power_coefficient(
     k: int,
     budget: int = DEFAULT_BUDGET,
 ) -> int:
-    """Coefficient of t^k of (1 + [X_1]t + [X_2]t^2 + ...)^[M -> N], by enumeration.
+    """Coefficient of t^k of (1 + [X_1]t + [X_2]t^2 + ...)^[M -> N], by counting orbits.
 
-    Sums orbit counts over the charge profiles {k_i} with sum i*k_i = k.  The
-    kernel, kernels.count_profile_orbits, visits one representative per orbit.
-    It checks the induced orbit map once per distinct filling of each block
-    (k_i points and their states): a block's target orbit depends on its own
-    filling only, and when s <= m and every X_i is nonempty each filling
-    extends to a representative (the other blocks take s - k_i of the m - k_i
-    points left), so this covers every block of every representative.  It
-    checks the free action once per profile (orbit-stabiliser identity), and
-    this function refuses, before enumerating any profile, one whose
-    perm(m, s) * prod |X_i|^{k_i} / prod k_i! orbit representatives exceed
-    the budget, rejects a negative orbit count and cross-checks the total
-    against the particle-configuration count.  Every failed check raises
-    kernels.OrbitCheckError.
+    Sums the orbit counts of _profiles over the charge profiles {k_i} with
+    sum i*k_i = k; a profile whose perm(m, s) * prod |X_i|^{k_i} / prod k_i!
+    orbit representatives exceed the budget is refused before any count is
+    summed.  The counts depend on the sizes of M and the X_i only.  The total
+    is cross-checked against particle_configuration_count, and a mismatch
+    raises OrbitCheckError.
     """
     m_size = exponent.source_size
     sizes = [x.source_size for x in coeffs]
-    total = 0
-    for profile in _profiles(m_size, sizes, k, budget):
-        pieces = [(k_i, coeffs[i - 1]) for i, k_i in sorted(profile.items())]
-        blocks = [(k_i, x.source_size, x.values, x.target_size) for k_i, x in pieces]
-        orbits = kernels.count_profile_orbits(m_size, exponent.values, blocks)
-        if orbits < 0:
-            raise kernels.OrbitCheckError(
-                f"profile {dict(sorted(profile.items()))} has {orbits} orbits"
-            )
-        total += orbits
+    total = sum(reps for _profile, reps in _profiles(m_size, sizes, k, budget))
     particle = particle_configuration_count(m_size, sizes[:k], k)
     if total != particle:
-        raise kernels.OrbitCheckError(
+        raise OrbitCheckError(
             f"orbit total {total} != particle-configuration count {particle}"
         )
     return total
@@ -278,21 +272,24 @@ def geometric_power_coefficient(
 def finite_series(f: FiniteMap, which: str, order: int) -> TruncatedSeries:
     """Generating series of S^k f (zeta) or B_k f (binomial) classes, over Z.
 
-    Also checks the defining identity of the geometric power structure:
-    the zeta series equals (1-t)^{-class}, the binomial series (1+t)^{class}.
+    The class of S^k f is the number of k-multisets of the source,
+    binom(n + k - 1, k), and that of B_k f the number of k-subsets,
+    binom(n, k), so no map is built.  Also checks the defining identity of
+    the geometric power structure: the zeta series equals (1-t)^{-class},
+    the binomial series (1+t)^{class}.
     """
     if which not in ("zeta", "binomial"):
         raise ValueError(f"unknown series kind {which!r}")
-    build = symmetric_power_map if which == "zeta" else config_space_map
-    coeffs = [class_of(build(f, k)) for k in range(order + 1)]
+    n = class_of(f)
+    if which == "zeta":
+        # comb(n - 1, 0) would fail at n = 0, where S^0 f is still one point
+        coeffs = [math.comb(n + k - 1, k) if k else 1 for k in range(order + 1)]
+        base = TruncatedSeries.geometric(INTEGERS, order)
+    else:
+        coeffs = [math.comb(n, k) for k in range(order + 1)]
+        base = TruncatedSeries.one_plus_t(INTEGERS, order)
     result = TruncatedSeries(INTEGERS, coeffs)
-    lam = LambdaStructure("kapranov", INTEGERS)
-    base = (
-        TruncatedSeries.geometric(INTEGERS, order)
-        if which == "zeta"
-        else TruncatedSeries.one_plus_t(INTEGERS, order)
-    )
-    expected = power(base, class_of(f), lam)
+    expected = power(base, n, LambdaStructure("kapranov", INTEGERS))
     if result != expected:
         raise FiniteSeriesCheckError(f"{which} series disagrees with the power structure")
     return result

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import powerstruct
-from powerstruct import cli, kernels
+from powerstruct import cli, finite_model
 from powerstruct.cli import main
 from powerstruct.rings import INTEGERS
 from powerstruct.series import TruncatedSeries
@@ -278,30 +278,47 @@ def test_budget_counts_orbit_representatives():
 
 
 def test_failed_orbit_check_exit_code(monkeypatch):
-    monkeypatch.setattr(kernels, "count_profile_orbits", lambda *args: -1)
+    monkeypatch.setattr(finite_model, "particle_configuration_count", lambda *args: 3)
     rc, out, err = run(
         ["oracle", "--m-size", "2", "--target-size", "1", "--coeff-sizes", "1",
          "--order", "1"]
     )
-    assert rc == 2
-    assert err == "error: profile {1: 1} has -1 orbits\n"
+    assert (rc, out) == (2, "")
+    assert err == "error: orbit total 2 != particle-configuration count 3\n"
 
 
-def counting_kernel(monkeypatch):
+def counting_coefficients(monkeypatch):
+    """Record every t^k coefficient the oracle counts."""
     calls = []
-    real = kernels.count_profile_orbits
+    real = cli.geometric_power_coefficient
 
-    def count(*args):
+    def count(*args, **kwargs):
         calls.append(args)
-        return real(*args)
+        return real(*args, **kwargs)
 
-    monkeypatch.setattr(kernels, "count_profile_orbits", count)
+    monkeypatch.setattr(cli, "geometric_power_coefficient", count)
+    return calls
+
+
+def counting_profiles(monkeypatch):
+    """Record every (charge profile, orbit count) pair admitted by the budget
+    walk and then by the count of each coefficient."""
+    calls = []
+    real = finite_model._profiles
+
+    def profiles(*args):
+        counted = real(*args)
+        calls.extend(counted)
+        return counted
+
+    monkeypatch.setattr(finite_model, "_profiles", profiles)
     return calls
 
 
 def test_over_budget_run_is_refused_before_any_enumeration(monkeypatch):
-    # every profile up to t^8 fits the budget; the first too large is at t^9
-    calls = counting_kernel(monkeypatch)
+    # every profile up to t^8 fits the budget; the first too large is at t^9,
+    # and no coefficient is counted before the refusal
+    calls = counting_coefficients(monkeypatch)
     rc, out, err = run(
         ["oracle", "--m-size", "9", "--target-size", "1", "--coeff-sizes",
          "2,2,2,2,2,2,2,2,2", "--order", "9", "--budget", "100000"]
@@ -318,7 +335,7 @@ def test_over_budget_oracle_is_refused_before_the_formula_runs(monkeypatch):
         pytest.fail("integer_power_formula ran before the budget refused the run")
 
     monkeypatch.setattr(cli, "integer_power_formula", formula)
-    calls = counting_kernel(monkeypatch)
+    calls = counting_coefficients(monkeypatch)
     rc, out, err = run(
         ["oracle", "--m-size", "12", "--target-size", "1", "--coeff-sizes",
          ",".join(["1"] * 60), "--order", "60", "--budget", "10"]
@@ -331,7 +348,7 @@ def test_an_oversized_exponent_is_refused_before_its_map_is_built(monkeypatch):
     # every X_i up to t^1 is empty, so no profile needs a representative; the
     # source size alone is over the budget, and a map of 10^12 points is
     # never allocated
-    calls = counting_kernel(monkeypatch)
+    calls = counting_coefficients(monkeypatch)
     for fmt in ("text", "json"):
         rc, out, err = run(
             ["oracle", "--m-size", str(10**12), "--target-size", "1", "--coeff-sizes",
@@ -349,7 +366,7 @@ def test_oversized_coefficient_sets_are_refused_before_their_maps_are_built(monk
         raise AssertionError("a coefficient map was built before the budget check")
 
     monkeypatch.setattr(cli.FiniteMap, "constant", classmethod(refuse))
-    calls = counting_kernel(monkeypatch)
+    calls = counting_coefficients(monkeypatch)
     for fmt in ("text", "json"):
         rc, out, err = run(
             ["oracle", "--m-size", "1", "--target-size", "1", "--coeff-sizes",
@@ -380,13 +397,15 @@ def test_a_failed_formula_cross_check_exits_2(monkeypatch):
 
 
 def test_oracle_enumerates_only_profiles_that_can_contribute(monkeypatch):
-    # (1 + t)^2: only {1: 1} and {1: 2} have at most two parts, all of charge 1
-    calls = counting_kernel(monkeypatch)
+    # (1 + t)^2: only {1: 1} and {1: 2} have at most two parts, all of charge 1;
+    # the budget walk admits each once and the count once more
+    calls = counting_profiles(monkeypatch)
     rc, out, err = run(
         ["oracle", "--m-size", "2", "--target-size", "1", "--coeff-sizes", "1",
          "--order", "60"]
     )
-    assert (rc, err, len(calls)) == (0, "", 2)
+    assert (rc, err) == (0, "")
+    assert calls == [({1: 1}, 2), ({1: 2}, 1)] * 2
     lines = out.splitlines()
     assert lines[:3] == ["t^1: oracle=2 formula=2", "t^2: oracle=1 formula=1", "t^3: oracle=0 formula=0"]
     assert lines[60:] == ["verdict: agree"]
@@ -394,19 +413,18 @@ def test_oracle_enumerates_only_profiles_that_can_contribute(monkeypatch):
 
 def test_oracle_skips_profiles_with_an_empty_coefficient_set(monkeypatch):
     # X_2 is empty, so every profile with a part 2 adds 0 orbits
-    calls = counting_kernel(monkeypatch)
+    calls = counting_profiles(monkeypatch)
     rc, out, err = run(
         ["oracle", "--m-size", "3", "--target-size", "2", "--coeff-sizes", "2,0,1",
          "--order", "5"]
     )
-    assert (rc, err, len(calls)) == (0, "", 6)
+    assert (rc, err, len(calls)) == (0, "", 2 * 6)
     assert out == (
         "t^1: oracle=6 formula=6\nt^2: oracle=12 formula=12\n"
         "t^3: oracle=11 formula=11\nt^4: oracle=12 formula=12\n"
         "t^5: oracle=12 formula=12\nverdict: agree\n"
     )
-    # a block is (k_i, |X_i|, X_i's map, its target size)
-    assert all(size for _m, _values, blocks in calls for _k, size, _x, _t in blocks)
+    assert all(i != 2 for profile, _reps in calls for i in profile)
 
 
 @pytest.mark.parametrize("module", ["powerstruct", "powerstruct.cli"])

@@ -7,18 +7,22 @@ from types import SimpleNamespace
 
 import pytest
 
+import _reference
 from _gen import exponent_map_classes
 from _reference import (
     brute_force_profile_orbits,
+    count_profile_orbits,
     indexed_image_multiset_map,
     per_representative_profile_orbits,
 )
-from powerstruct import cli, finite_model, kernels
+from powerstruct import cli, finite_model
 from powerstruct.finite_model import (
+    DEFAULT_BUDGET,
     BudgetExceededError,
     EquivalenceCheckError,
     FiniteMap,
     FiniteSeriesCheckError,
+    OrbitCheckError,
     class_of,
     combine,
     config_space_map,
@@ -28,7 +32,6 @@ from powerstruct.finite_model import (
     particle_configuration_count,
     symmetric_power_map,
 )
-from powerstruct.kernels import OrbitCheckError
 from powerstruct.lambdas import integer_power_formula
 from powerstruct.rings import INTEGERS, InexactDivisionError
 from powerstruct.series import TruncatedSeries
@@ -183,7 +186,7 @@ def test_particle_count_is_a_coefficient_of_the_integer_power():
     assert particle_configuration_count(12, sizes, 6) == expected(12, sizes, 6)
 
 
-# The three cases that open every perfbench oracle run, as kernel inputs.
+# The three cases that open every perfbench oracle run, as blocks of one profile.
 BENCHMARK_CASES = [
     (6, [x % 2 for x in range(6)], [(3, 4, [0, 1, 0, 1], 2)]),
     (7, [x % 3 for x in range(7)], [(4, 4, [0, 1, 2, 0], 3)]),
@@ -192,7 +195,7 @@ BENCHMARK_CASES = [
 
 
 def _random_profile(rng):
-    """Kernel inputs with m 0-6 and 1-3 blocks, including k_i = 0, |X_i| = 0 and s > m."""
+    """Blocks with m 0-6 and 1-3 blocks, including k_i = 0, |X_i| = 0 and s > m."""
     while True:
         m_size = rng.randint(0, 6)
         q = rng.randint(1, 3)
@@ -207,8 +210,28 @@ def _random_profile(rng):
             return m_size, f_values, blocks
 
 
-def test_backends_agree(monkeypatch):
-    # the orderly kernel against the brute-force reference that visits every tuple
+def _closed_form(m_size, blocks):
+    """The library's orbit count for blocks read as the profile {i: k_i} of
+    t^(sum i*k_i), block i having charge i; 0 for a profile _profiles skips."""
+    profile = {i: k for i, (k, _, _, _) in enumerate(blocks, 1) if k}
+    sizes = [x_size for _, x_size, _, _ in blocks]
+    k = sum(i * k_i for i, k_i in profile.items())
+    counts = [reps for p, reps in finite_model._profiles(m_size, sizes, k, DEFAULT_BUDGET) if p == profile]
+    return counts[0] if counts else 0
+
+
+def _routes_agree(m_size, f_values, blocks):
+    """The count on which the closed form and the three enumerations agree."""
+    expected = brute_force_profile_orbits(m_size, f_values, blocks)
+    assert per_representative_profile_orbits(m_size, f_values, blocks) == expected
+    assert count_profile_orbits(m_size, f_values, blocks) == expected
+    assert _closed_form(m_size, blocks) == expected
+    return expected
+
+
+def test_backends_agree():
+    # the closed form against the orderly enumeration and the brute-force
+    # reference that visits every tuple
     rng = random.Random(3)
     cases = [_random_profile(rng) for _ in range(500)]
     assert any(sum(b[0] for b in blocks) > m for m, _, blocks in cases)
@@ -220,36 +243,60 @@ def test_backends_agree(monkeypatch):
         (3, [0, 0, 0], [(3, 2, [0, 0], 1)]),
     ]
     for m_size, f_values, blocks in cases:
-        expected = brute_force_profile_orbits(m_size, f_values, blocks)
-        assert per_representative_profile_orbits(m_size, f_values, blocks) == expected
-        assert kernels.count_profile_orbits(m_size, f_values, blocks) == expected
+        _routes_agree(m_size, f_values, blocks)
 
-    # every kernel call that the criterion-3 grid makes
-    calls = []
-    orderly_kernel = kernels.count_profile_orbits
-
-    def both(m_size, f_values, blocks):
-        orderly = orderly_kernel(m_size, f_values, blocks)
-        calls.append(orderly)
-        assert orderly == brute_force_profile_orbits(m_size, f_values, blocks)
-        assert orderly == per_representative_profile_orbits(m_size, f_values, blocks)
-        return orderly
-
-    monkeypatch.setattr(kernels, "count_profile_orbits", both)
+    # every profile count that the criterion-3 grid sums
+    profiles = 0
     for f in exponent_map_classes(4, 3):
         for sizes in itertools.product(range(4), repeat=3):
             coeffs = [FiniteMap.constant(s) for s in sizes]
             for k in range(1, 6):
-                geometric_power_coefficient(f, coeffs, k)
-    assert len(calls) > 1000
+                counted = finite_model._profiles(f.source_size, sizes, k, DEFAULT_BUDGET)
+                for profile, reps in counted:
+                    blocks = [(k_i, sizes[i - 1], coeffs[i - 1].values, 1) for i, k_i in sorted(profile.items())]
+                    assert _routes_agree(f.source_size, f.values, blocks) == reps
+                assert geometric_power_coefficient(f, coeffs, k) == sum(reps for _, reps in counted)
+                profiles += len(counted)
+    assert profiles > 1000
 
 
 @pytest.mark.parametrize("case", range(len(BENCHMARK_CASES)))
 def test_benchmark_cases_match_brute_force(case):
-    m_size, f_values, blocks = BENCHMARK_CASES[case]
-    expected = brute_force_profile_orbits(m_size, f_values, blocks)
-    assert per_representative_profile_orbits(m_size, f_values, blocks) == expected
-    assert kernels.count_profile_orbits(m_size, f_values, blocks) == expected
+    _routes_agree(*BENCHMARK_CASES[case])
+
+
+def _nonconstant(rng, n, q):
+    """Values of a map {0..n-1} -> {0..q-1} that take at least two values."""
+    while True:
+        values = [rng.randrange(q) for _ in range(n)]
+        if len(set(values)) > 1:
+            return values
+
+
+def test_map_values_never_change_an_orbit_count():
+    # non-constant f and g with the same sizes give the closed form's count
+    rng = random.Random(19)
+    for _ in range(60):
+        m_size = rng.randint(2, 6)
+        sizes = [rng.randint(2, 3) for _ in range(rng.randint(1, 2))]
+        ks = [rng.randint(1, 2) for _ in sizes]
+        if math.perm(m_size, sum(ks)) * math.prod(x**k for k, x in zip(ks, sizes)) > 5000:
+            continue
+        counts = set()
+        for _draw in range(3):
+            q = rng.randint(2, 3)
+            f_values = _nonconstant(rng, m_size, q)
+            targets = [rng.randint(2, 3) for _ in sizes]
+            blocks = [(k, x, _nonconstant(rng, x, y), y) for k, x, y in zip(ks, sizes, targets)]
+            counts.add(_routes_agree(m_size, f_values, blocks))
+            exponent = FiniteMap(m_size, q, f_values)
+            coeffs = [FiniteMap(x, y, values) for _k, x, values, y in blocks]
+            total = sum(i * k for i, k in enumerate(ks, 1))
+            constant = [FiniteMap.constant(x) for x in sizes]
+            assert geometric_power_coefficient(exponent, coeffs, total) == geometric_power_coefficient(
+                FiniteMap.constant(m_size), constant, total
+            )
+        assert len(counts) == 1
 
 
 def test_nonconstant_coefficient_maps():
@@ -279,6 +326,32 @@ def test_finite_series_empty_source():
         assert finite_series(FiniteMap.identity(0), which, 3) == TruncatedSeries.one(
             INTEGERS, 3
         )
+
+
+def test_finite_series_counts_equal_the_built_maps():
+    # binom(n + k - 1, k) and binom(n, k) against the classes of S^k f and
+    # B_k f built on random maps, n = 0 included
+    rng = random.Random(29)
+    for n in range(13):
+        q = rng.randint(1, 4)
+        f = FiniteMap(n, q, [rng.randrange(q) for _ in range(n)])
+        zeta = finite_series(f, "zeta", 10).coefficients
+        binomial = finite_series(f, "binomial", 10).coefficients
+        for k in range(11):
+            assert zeta[k] == class_of(symmetric_power_map(f, k)), (n, k)
+            assert binomial[k] == class_of(config_space_map(f, k)), (n, k)
+
+
+def test_finite_series_builds_no_map(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("finite_series built a map")
+
+    monkeypatch.setattr(finite_model, "_image_multiset_map", refuse)
+    f = FiniteMap(12, 3, [x % 3 for x in range(12)])
+    assert finite_series(f, "zeta", 10).coefficients[10] == math.comb(21, 10)
+    assert finite_series(f, "binomial", 10).coefficients[10] == math.comb(12, 10)
+    with pytest.raises(AssertionError, match="built a map"):
+        symmetric_power_map(f, 2)
 
 
 def test_finite_series_multiplicative_under_disjoint_union():
@@ -321,11 +394,12 @@ class _DriftingValues(Sequence):
 
 
 def test_kernel_checks_well_definedness():
+    # the reference enumeration's check; a FiniteMap's values cannot drift
     blocks = [(2, 2, _DriftingValues([0, 1], 2), 2)]
     with pytest.raises(OrbitCheckError, match="not well defined"):
-        kernels.count_profile_orbits(3, [0, 0, 0], blocks)
+        count_profile_orbits(3, [0, 0, 0], blocks)
     # the same input with honest values passes
-    assert kernels.count_profile_orbits(3, [0, 0, 0], [(2, 2, [0, 1], 2)]) == 12
+    assert count_profile_orbits(3, [0, 0, 0], [(2, 2, [0, 1], 2)]) == 12
 
 
 def test_kernel_checks_well_definedness_of_every_block():
@@ -333,28 +407,26 @@ def test_kernel_checks_well_definedness_of_every_block():
     # fillings of the first block would miss it
     blocks = [(1, 1, [0], 1), (2, 2, _DriftingValues([0, 1], 2), 2)]
     with pytest.raises(OrbitCheckError, match="not well defined"):
-        kernels.count_profile_orbits(4, [0, 1, 0, 1], blocks)
+        count_profile_orbits(4, [0, 1, 0, 1], blocks)
     honest = [(1, 1, [0], 1), (2, 2, [0, 1], 2)]
     expected = brute_force_profile_orbits(4, [0, 1, 0, 1], honest)
-    assert kernels.count_profile_orbits(4, [0, 1, 0, 1], honest) == expected == 48
+    assert count_profile_orbits(4, [0, 1, 0, 1], honest) == expected == 48
 
 
 def test_kernel_checks_freeness(monkeypatch):
     # an enumeration that misses one point subset no longer covers every tuple
     monkeypatch.setattr(
-        kernels, "combinations", lambda pool, r: list(itertools.combinations(pool, r))[:-1]
+        _reference, "combinations", lambda pool, r: list(itertools.combinations(pool, r))[:-1]
     )
     with pytest.raises(OrbitCheckError, match="non-free action"):
-        kernels.count_profile_orbits(4, [0, 0, 0, 0], [(2, 1, [0], 1)])
-    with pytest.raises(OrbitCheckError, match="non-free action"):
-        geometric_power_coefficient(FiniteMap.constant(3), [FiniteMap.constant(2)], 2)
+        count_profile_orbits(4, [0, 0, 0, 0], [(2, 1, [0], 1)])
 
 
 def test_failed_cross_checks_raise_named_errors(monkeypatch):
     with pytest.raises(EquivalenceCheckError):
         find_equivalence(_DriftingMap(2, 2, [0, 1]), FiniteMap.identity(2))
-    monkeypatch.setattr(kernels, "count_profile_orbits", lambda *args: -1)
-    with pytest.raises(OrbitCheckError):
+    monkeypatch.setattr(finite_model, "particle_configuration_count", lambda *args: -1)
+    with pytest.raises(OrbitCheckError, match="^orbit total 2 != particle-configuration count -1$"):
         geometric_power_coefficient(FiniteMap.constant(2), [FiniteMap.constant(1)], 1)
     monkeypatch.setattr(finite_model, "power", lambda base, m, lam: base)
     with pytest.raises(FiniteSeriesCheckError):
