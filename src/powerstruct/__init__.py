@@ -27,7 +27,6 @@ from .lambdas import (
     LambdaStructure,
     UnsupportedLambdaError,
     charge_profiles,
-    decompose_product,
     exp_map,
     integer_power_formula,
     lambda_series,
@@ -36,7 +35,14 @@ from .lambdas import (
 )
 from .motivic import hilb_local_surface, hilb_surface, hodge_zeta, specialize_series
 from .parsing import ParseError, parse_polynomial, parse_ring, parse_series
-from .rings import INTEGERS, DegreeOverflowError, Ring, SparsePolynomial
-from .series import NonUnitError, TruncatedSeries
+from .rings import (
+    INTEGERS,
+    ComputationError,
+    DegreeOverflowError,
+    InexactDivisionError,
+    Ring,
+    SparsePolynomial,
+)
+from .series import NonUnitError, RingMismatchError, TruncatedSeries
 
 __version__ = "0.1.0"

@@ -4,7 +4,8 @@ Subcommands: power, exp, log, zeta, hilb, oracle.  Output is deterministic
 text (one line per coefficient) or JSON with the schema
 {"ring": str, "order": int, "coefficients": [str]}; coefficients are printed
 in graded-lexicographic normal form.  Exit codes: 0 success, 1 usage or parse
-error, 2 computation error (non-unit series, enumeration budget exceeded, an
+error (any ValueError or TypeError), 2 computation error (any
+rings.ComputationError: a non-unit series, an oracle budget exceeded, an
 exponent above the per-variable degree limit, a failed internal cross-check
 or exact division).
 """
@@ -17,38 +18,24 @@ import sys
 from typing import Optional, Sequence
 
 from .finite_model import (
-    BudgetExceededError,
     DEFAULT_BUDGET,
-    EquivalenceCheckError,
     FiniteMap,
     FiniteSeriesCheckError,
-    OrbitCheckError,
     check_budget,
     geometric_power_coefficient,
 )
-from .lambdas import (
-    LAMBDA_KINDS,
-    LambdaStructure,
-    UnsupportedLambdaError,
-    exp_map,
-    integer_power_formula,
-    log_map,
-    power,
-)
+from .lambdas import LAMBDA_KINDS, LambdaStructure, exp_map, integer_power_formula, log_map, power
 from .motivic import HODGE_RING, hilb_local_surface, hilb_surface, hodge_zeta, specialize_series
-from .parsing import ParseError, parse_polynomial, parse_ring, parse_series
-from .rings import ArityError, DegreeOverflowError, INTEGERS, InexactDivisionError, Ring
-from .series import NonUnitError, RingMismatchError, TruncatedSeries
-
-
-class _UsageError(Exception):
-    pass
+from .parsing import parse_polynomial, parse_ring, parse_series
+from .rings import INTEGERS, ComputationError, Ring
+from .series import TruncatedSeries
 
 
 class _ArgumentParser(argparse.ArgumentParser):
     # argparse exits with status 2 on usage errors; the contract here is 1.
+    # It catches only ArgumentError, so this ValueError reaches main.
     def error(self, message):
-        raise _UsageError(message)
+        raise ValueError(message)
 
 
 def _build_parser() -> _ArgumentParser:
@@ -89,7 +76,7 @@ def _build_parser() -> _ArgumentParser:
     group.add_argument("--local", action="store_true")
     p.add_argument("--euler", action="store_true", help="specialize all variables -> 1")
 
-    p = sub.add_parser("oracle", help="geometric enumeration vs the integer power formula")
+    p = sub.add_parser("oracle", help="geometric orbit count vs the integer power formula")
     p.add_argument("--m-size", type=int, required=True)
     p.add_argument("--target-size", type=int, required=True)
     p.add_argument("--coeff-sizes", required=True, help="comma-separated |X_1|,|X_2|,...")
@@ -164,13 +151,13 @@ def _cmd_hilb(args, out) -> int:
 
 def _cmd_oracle(args, out) -> int:
     if args.m_size < 0 or args.target_size < 1:
-        raise _UsageError("--m-size must be >= 0 and --target-size >= 1")
+        raise ValueError("--m-size must be >= 0 and --target-size >= 1")
     try:
         sizes = [int(s) for s in args.coeff_sizes.split(",")]
     except ValueError:
-        raise _UsageError(f"bad --coeff-sizes {args.coeff_sizes!r}")
+        raise ValueError(f"bad --coeff-sizes {args.coeff_sizes!r}")
     if any(s < 0 for s in sizes):
-        raise _UsageError("coefficient sizes must be nonnegative")
+        raise ValueError("coefficient sizes must be nonnegative")
     series = TruncatedSeries(
         INTEGERS, [1] + sizes + [0] * max(0, args.order - len(sizes))
     ).truncate(args.order)
@@ -222,23 +209,10 @@ def main(argv: Optional[Sequence[str]] = None, out=None, err=None) -> int:
     try:
         args = parser.parse_args(argv)
         return _COMMANDS[args.command](args, out)
-    except (_UsageError, ParseError) as e:
-        print(f"error: {e}", file=err)
-        return 1
-    except (
-        DegreeOverflowError,
-        InexactDivisionError,
-        NonUnitError,
-        RingMismatchError,
-        UnsupportedLambdaError,
-        BudgetExceededError,
-        OrbitCheckError,
-        EquivalenceCheckError,
-        FiniteSeriesCheckError,
-    ) as e:
+    except ComputationError as e:
         print(f"error: {e}", file=err)
         return 2
-    except (ValueError, ArityError, TypeError) as e:
+    except (ValueError, TypeError) as e:
         print(f"error: {e}", file=err)
         return 1
 

@@ -18,25 +18,25 @@ import math
 from typing import List, Optional, Sequence, Tuple
 
 from .lambdas import charge_profiles, LambdaStructure, power
-from .rings import INTEGERS, Immutable, exact_quotient
+from .rings import INTEGERS, ComputationError, Immutable, exact_quotient
 from .series import TruncatedSeries
 
 DEFAULT_BUDGET = 10**7
 
 
-class BudgetExceededError(RuntimeError):
-    """The exhaustive enumeration would exceed the configured budget."""
+class BudgetExceededError(ComputationError, RuntimeError):
+    """A profile's orbit count or the exponent map's size exceeds the budget."""
 
 
-class EquivalenceCheckError(RuntimeError):
+class EquivalenceCheckError(ComputationError, RuntimeError):
     """A constructed equivalence of finite maps failed its verification."""
 
 
-class FiniteSeriesCheckError(RuntimeError):
+class FiniteSeriesCheckError(ComputationError, RuntimeError):
     """A finite-model series disagrees with the algebraic power structure."""
 
 
-class OrbitCheckError(RuntimeError):
+class OrbitCheckError(ComputationError, RuntimeError):
     """The orbit total disagrees with the particle-configuration count."""
 
 

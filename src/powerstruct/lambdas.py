@@ -43,14 +43,14 @@ from itertools import islice
 from operator import mul
 from typing import Dict, Iterable, Iterator, List, Sequence
 
-from .rings import Immutable, Ring, exact_quotient
+from .rings import ComputationError, Immutable, Ring, exact_quotient
 from .series import NonUnitError, TruncatedSeries, _check_order
 
 LAMBDA_KINDS = ("kapranov", "binomial", "opposite", "poly-product")
 _SIGN = {"kapranov": 1, "binomial": -1, "opposite": -1, "poly-product": 1}
 
 
-class UnsupportedLambdaError(ValueError):
+class UnsupportedLambdaError(ComputationError, ValueError):
     """The exponent is outside the domain of the chosen lambda-structure."""
 
 
@@ -110,8 +110,8 @@ def _factor(lam: LambdaStructure, b, k: int, order: int) -> TruncatedSeries:
     return lambda_series(lam, b, order // k).rescale(k, order=order)
 
 
-def decompose_product(A: TruncatedSeries, lam: LambdaStructure) -> List:
-    """Coefficients b_1..b_N of the unique factorization A = prod lambda_{b_i}(t^i).
+def log_map(A: TruncatedSeries, lam: LambdaStructure) -> List:
+    """Log, the inverse of exp_map: the b_1..b_N of the unique A = prod lambda_{b_i}(t^i).
 
     Over Z[x...] this peels degrees bottom-up: after multiplying A by
     prod_{i<k} lambda_{-b_i}(t^i), the inverse of prod_{i<k} lambda_{b_i}(t^i),
@@ -167,15 +167,10 @@ def exp_map(B: Sequence, lam: LambdaStructure, order: int) -> TruncatedSeries:
     return TruncatedSeries._raw(ring, [ring.from_term_map(c) for c in result])
 
 
-def log_map(A: TruncatedSeries, lam: LambdaStructure) -> List:
-    """Inverse of exp_map: the factorization coefficients b_1..b_N."""
-    return decompose_product(A, lam)
-
-
 def power(A: TruncatedSeries, m, lam: LambdaStructure) -> TruncatedSeries:
     """(A(t))^m = prod_i lambda_{m*b_i}(t^i) where A = prod_i lambda_{b_i}(t^i)."""
     m = lam.ring.coerce(m)
-    bs = decompose_product(A, lam)
+    bs = log_map(A, lam)
     return exp_map([m * b for b in bs], lam, A.order)
 
 

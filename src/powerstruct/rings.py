@@ -36,6 +36,10 @@ MAX_EXPONENT = (1 << (SLOT_BITS - 1)) - 1
 _SLOT_MASK = (1 << SLOT_BITS) - 1
 
 
+class ComputationError(Exception):
+    """A computation refused its input or failed a check; the CLI exits 2."""
+
+
 class ArityError(ValueError):
     """Operands live in rings with different variable lists."""
 
@@ -44,11 +48,11 @@ class UnboundVariableError(KeyError):
     """A substitution did not bind every variable of the polynomial."""
 
 
-class InexactDivisionError(ArithmeticError):
+class InexactDivisionError(ComputationError, ArithmeticError):
     """A division that must be exact left a remainder."""
 
 
-class DegreeOverflowError(ValueError):
+class DegreeOverflowError(ComputationError, ValueError):
     """An exponent of some variable exceeds MAX_EXPONENT."""
 
     def __init__(self, variable: str, exponent: int):

@@ -17,14 +17,14 @@ from __future__ import annotations
 
 from typing import List, Sequence, Tuple
 
-from .rings import Immutable, Ring, power_by_squaring
+from .rings import ComputationError, Immutable, Ring, power_by_squaring
 
 
-class RingMismatchError(ValueError):
+class RingMismatchError(ComputationError, ValueError):
     """Binary operation on series over different rings."""
 
 
-class NonUnitError(ValueError):
+class NonUnitError(ComputationError, ValueError):
     """Inversion or decomposition of a series whose constant term is not 1."""
 
 

@@ -1,6 +1,9 @@
+import importlib
+import inspect
 import io
 import json
 import os
+import pkgutil
 import random
 import subprocess
 import sys
@@ -11,8 +14,23 @@ import pytest
 import powerstruct
 from powerstruct import cli, finite_model
 from powerstruct.cli import main
-from powerstruct.rings import INTEGERS
-from powerstruct.series import TruncatedSeries
+from powerstruct.finite_model import (
+    BudgetExceededError,
+    EquivalenceCheckError,
+    FiniteSeriesCheckError,
+    OrbitCheckError,
+)
+from powerstruct.lambdas import UnsupportedLambdaError
+from powerstruct.parsing import ParseError
+from powerstruct.rings import (
+    INTEGERS,
+    ArityError,
+    ComputationError,
+    DegreeOverflowError,
+    InexactDivisionError,
+    UnboundVariableError,
+)
+from powerstruct.series import NonUnitError, RingMismatchError, TruncatedSeries
 
 
 def run(argv):
@@ -461,3 +479,60 @@ def test_python_m_runs_the_cli(module):
 def test_negative_order_is_a_usage_error(argv, order):
     rc, out, err = run(argv + ["--order", str(order)])
     assert (rc, out, err) == (1, "", f"error: order must be nonnegative, got {order}\n")
+
+
+POWER_ARGV = ["power", "--ring", "Z", "--lambda", "kapranov", "--order", "1",
+              "--series", "1", "--exponent", "1"]
+
+EXIT_2_ERRORS = [
+    (DegreeOverflowError("u", 2**31), "exponent 2147483648 of variable u exceeds the limit 2147483647"),
+    (InexactDivisionError("7 / 2 leaves 1"), "7 / 2 leaves 1"),
+    (NonUnitError("not a unit"), "not a unit"),
+    (RingMismatchError("Z against Z[u]"), "Z against Z[u]"),
+    (UnsupportedLambdaError("u is no integer"), "u is no integer"),
+    (BudgetExceededError("over budget"), "over budget"),
+    (OrbitCheckError("orbits disagree"), "orbits disagree"),
+    (EquivalenceCheckError("not an equivalence"), "not an equivalence"),
+    (FiniteSeriesCheckError("series disagree"), "series disagree"),
+]
+
+EXIT_1_ERRORS = [
+    (ValueError("bad value"), "bad value"),
+    (TypeError("bad type"), "bad type"),
+    (ParseError("unexpected '+'", 4), "unexpected '+' at offset 4"),
+    (ArityError("Z[u] against Z[v]"), "Z[u] against Z[v]"),
+]
+
+# the only exceptions of the package that are not computation errors
+NOT_COMPUTATION_ERRORS = {ArityError, UnboundVariableError, ParseError}
+
+
+def raising(error):
+    def command(args, out):
+        raise error
+    return command
+
+
+@pytest.mark.parametrize(
+    "error, code, message",
+    [pytest.param(e, 2, m, id=type(e).__name__) for e, m in EXIT_2_ERRORS]
+    + [pytest.param(e, 1, m, id=type(e).__name__) for e, m in EXIT_1_ERRORS],
+)
+def test_an_error_class_decides_the_exit_code(monkeypatch, error, code, message):
+    monkeypatch.setitem(cli._COMMANDS, "power", raising(error))
+    assert run(POWER_ARGV) == (code, "", f"error: {message}\n")
+
+
+def test_every_check_error_of_the_package_exits_2():
+    classes = set()
+    for info in pkgutil.iter_modules(powerstruct.__path__, "powerstruct."):
+        module = importlib.import_module(info.name)
+        classes.update(
+            obj for obj in vars(module).values()
+            if inspect.isclass(obj) and issubclass(obj, BaseException)
+            and obj.__module__ == module.__name__
+        )
+    computation = {c for c in classes if issubclass(c, ComputationError)}
+    assert classes - computation == NOT_COMPUTATION_ERRORS
+    # each one is also in the exit-code test above
+    assert computation == {ComputationError} | {type(e) for e, _ in EXIT_2_ERRORS}

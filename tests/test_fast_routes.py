@@ -14,10 +14,10 @@ from powerstruct.lambdas import (
     LambdaStructure,
     UnsupportedLambdaError,
     _one_minus_xt_power,
-    decompose_product,
     exp_map,
     integer_power_formula,
     lambda_series,
+    log_map,
     power,
 )
 from powerstruct.rings import (
@@ -146,12 +146,12 @@ def test_log_exp_power_equal_the_full_order_routes(kind, order):
         bs = sparse_coefficients(rng, ring, order)
         A = exp_map(bs, lam, order)
         assert A == full_order_exp(bs, lam, order)
-        assert decompose_product(A, lam) == full_order_decompose(A, lam) == [ring.coerce(b) for b in bs]
+        assert log_map(A, lam) == full_order_decompose(A, lam) == [ring.coerce(b) for b in bs]
         m = ring.one + sparse_element(rng, ring)
         assert power(A, m, lam) == full_order_power(A, m, lam)
         if ring.is_integers:
             A = sparse_unit_series(rng, ring, order, nonzero_p=0.5)
-            assert decompose_product(A, lam) == full_order_decompose(A, lam)
+            assert log_map(A, lam) == full_order_decompose(A, lam)
             assert power(A, m, lam) == full_order_power(A, m, lam)
 
 
@@ -161,7 +161,7 @@ def test_log_and_power_of_dense_polynomial_series(kind):
     rng = random.Random(41)
     for order in (3, 6, 9):
         A = random_unit_series(rng, UV, order, max_degree=1, max_terms=2, coeff_bound=1)
-        assert decompose_product(A, lam) == full_order_decompose(A, lam)
+        assert log_map(A, lam) == full_order_decompose(A, lam)
         m = UV.one + UV.gen(rng.choice(["u", "v"]))
         assert power(A, m, lam) == full_order_power(A, m, lam)
 
@@ -179,7 +179,7 @@ def to_int(p):
 def factor_route_log(A, kind):
     """Log over Z by the lambda-factor route: the constants of Z[x] decompose
     as prod lambda_{b_i}(t^i) exactly as the integers do."""
-    return [to_int(b) for b in decompose_product(TruncatedSeries(X, A.coefficients), LambdaStructure(kind, X))]
+    return [to_int(b) for b in log_map(TruncatedSeries(X, A.coefficients), LambdaStructure(kind, X))]
 
 
 def factor_route_exp(B, kind, order):
@@ -209,12 +209,12 @@ def assert_exp_equals_both_references(kind, B, order):
     got = exp_map(B, lam, order)
     assert got == full_order_exp(B, lam, order), (kind, order, B)
     assert list(got.coefficients) == factor_route_exp(B, kind, order)
-    assert decompose_product(got, lam) == list(B[:order])
+    assert log_map(got, lam) == list(B[:order])
 
 
 def assert_log_and_power_equal_both_references(kind, A, m):
     lam = LambdaStructure(kind, INTEGERS)
-    assert decompose_product(A, lam) == full_order_decompose(A, lam) == factor_route_log(A, kind)
+    assert log_map(A, lam) == full_order_decompose(A, lam) == factor_route_log(A, kind)
     got = power(A, m, lam)
     assert got == full_order_power(A, m, lam), (kind, A, m)
     assert list(got.coefficients) == factor_route_power(A, m, kind)
@@ -252,7 +252,7 @@ def test_newton_route_over_z_builds_no_lambda_factor(monkeypatch):
     A = TruncatedSeries(INTEGERS, [1, 2, -1, 3, 0, 5])
     for kind in LAMBDA_KINDS:
         lam = LambdaStructure(kind, INTEGERS)
-        assert exp_map(decompose_product(A, lam), lam, 5) == A
+        assert exp_map(log_map(A, lam), lam, 5) == A
         assert power(A, -2, lam) == A.int_pow(-2)
 
 

@@ -8,7 +8,6 @@ from powerstruct.lambdas import (
     UnsupportedLambdaError,
     _one_minus_xt_power,
     charge_profiles,
-    decompose_product,
     exp_map,
     generalized_binomial,
     integer_power_formula,
@@ -85,34 +84,34 @@ def test_kapranov_rejects_nonconstant():
 
 
 def test_decompose_single_factor():
-    assert decompose_product(S([1, -1, 0, 0]), KAP_Z) == [-1, 0, 0]
+    assert log_map(S([1, -1, 0, 0]), KAP_Z) == [-1, 0, 0]
 
 
 def test_decompose_one_plus_t():
     # (1-t)^{-1} (1-t^2) = 1+t exactly
-    assert decompose_product(S([1, 1, 0, 0, 0]), KAP_Z) == [1, -1, 0, 0]
+    assert log_map(S([1, 1, 0, 0, 0]), KAP_Z) == [1, -1, 0, 0]
 
 
 def test_decompose_geometric():
-    assert decompose_product(TruncatedSeries.geometric(INTEGERS, 4), KAP_Z) == [1, 0, 0, 0]
+    assert log_map(TruncatedSeries.geometric(INTEGERS, 4), KAP_Z) == [1, 0, 0, 0]
 
 
 def test_decompose_reconstructs():
     rng = random.Random(12)
     for _ in range(10):
         a = random_unit_series(rng, INTEGERS, 8)
-        bs = decompose_product(a, KAP_Z)
+        bs = log_map(a, KAP_Z)
         assert exp_map(bs, KAP_Z, 8) == a
     for lam in (PP_UV, OPP_UV):
         for _ in range(10):
             a = sparse_unit_series(rng, UV, 8)
-            bs = decompose_product(a, lam)
+            bs = log_map(a, lam)
             assert exp_map(bs, lam, 8) == a
 
 
 def test_decompose_nonunit():
     with pytest.raises(NonUnitError):
-        decompose_product(S([2, 1]), KAP_Z)
+        log_map(S([2, 1]), KAP_Z)
 
 
 def test_exp_examples():
