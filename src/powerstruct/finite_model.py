@@ -8,7 +8,9 @@ powers S^k f, configuration maps B_k f, and the oracle for the geometric
 power structure: the sum over charge profiles of the orbit counts of the
 blockwise symmetric-group action on off-diagonal tuples.  That action is
 free, so each count is perm(m, s) * prod |X_i|^{k_i} / prod k_i!, and the
-oracle checks the sum against a count of particle configurations.
+oracle checks the sum against a count of particle configurations.  Since a
+map's class is its size, the oracle (oracle_coefficients) takes the sizes
+|M| and |X_i| and builds no map.
 """
 
 from __future__ import annotations
@@ -17,9 +19,9 @@ import itertools
 import math
 from typing import List, Optional, Sequence, Tuple
 
-from .lambdas import charge_profiles, LambdaStructure, power
+from .lambdas import charge_profiles, integer_power_formula, LambdaStructure, power
 from .rings import INTEGERS, ComputationError, Immutable, exact_quotient
-from .series import TruncatedSeries
+from .series import TruncatedSeries, _check_order
 
 DEFAULT_BUDGET = 10**7
 
@@ -188,7 +190,7 @@ def particle_configuration_count(m_size: int, coeff_sizes: Sequence[int], k: int
     The points are added one at a time, keeping for every total charge r <= k
     the number of configurations of the points so far.  This sums over points,
     not over charge profiles, so it shares no step with the orbit counts that
-    geometric_power_coefficient checks against it.
+    orbit_count checks against it.
     """
     if k < 0:
         raise ValueError("k must be nonnegative")
@@ -229,18 +231,17 @@ def _profiles(m_size: int, sizes: Sequence[int], k: int, budget: int):
     return counted
 
 
-def check_budget(
-    m_size: int, sizes: Sequence[int], order: int, budget: int = DEFAULT_BUDGET
-) -> None:
-    """Refuse a run over t^1..t^order, given the sizes |X_i|, before any map is
-    built, if a charge profile needs more than `budget` orbit representatives or
-    the exponent map more than `budget` source points (O(m_size) steps)."""
-    for k in range(1, order + 1):
-        _profiles(m_size, sizes, k, budget)
-    if m_size > budget:
-        raise BudgetExceededError(
-            f"the exponent map has {m_size} source points (budget {budget})"
+def orbit_count(m_size: int, sizes: Sequence[int], k: int, budget: int = DEFAULT_BUDGET) -> int:
+    """Coefficient of t^k of (1 + |X_1|t + |X_2|t^2 + ...)^|M|: the sum of the
+    orbit counts of _profiles, which refuses a profile over the budget, checked
+    against particle_configuration_count (a mismatch raises OrbitCheckError)."""
+    total = sum(reps for _profile, reps in _profiles(m_size, sizes, k, budget))
+    particle = particle_configuration_count(m_size, sizes[:k], k)
+    if total != particle:
+        raise OrbitCheckError(
+            f"orbit total {total} != particle-configuration count {particle}"
         )
+    return total
 
 
 def geometric_power_coefficient(
@@ -249,24 +250,39 @@ def geometric_power_coefficient(
     k: int,
     budget: int = DEFAULT_BUDGET,
 ) -> int:
-    """Coefficient of t^k of (1 + [X_1]t + [X_2]t^2 + ...)^[M -> N], by counting orbits.
+    """Coefficient of t^k of (1 + [X_1]t + [X_2]t^2 + ...)^[M -> N]: the
+    orbit_count of the sizes of M and the X_i, which are their classes."""
+    return orbit_count(exponent.source_size, [x.source_size for x in coeffs], k, budget)
 
-    Sums the orbit counts of _profiles over the charge profiles {k_i} with
-    sum i*k_i = k; a profile whose perm(m, s) * prod |X_i|^{k_i} / prod k_i!
-    orbit representatives exceed the budget is refused before any count is
-    summed.  The counts depend on the sizes of M and the X_i only.  The total
-    is cross-checked against particle_configuration_count, and a mismatch
-    raises OrbitCheckError.
+
+def oracle_coefficients(
+    m_size: int, sizes: Sequence[int], order: int, budget: int = DEFAULT_BUDGET
+) -> List[int]:
+    """The orbit counts of t^1..t^order of (1 + |X_1|t + |X_2|t^2 + ...)^|M|,
+    each checked against the closed-form integer power.
+
+    Refuses the run before counting anything if a charge profile of any order
+    needs more than `budget` orbit representatives, then if M has more than
+    `budget` points (the particle count takes O(m_size) steps).  A count that
+    disagrees with its particle count raises OrbitCheckError, and one that
+    disagrees with integer_power_formula raises FiniteSeriesCheckError.
     """
-    m_size = exponent.source_size
-    sizes = [x.source_size for x in coeffs]
-    total = sum(reps for _profile, reps in _profiles(m_size, sizes, k, budget))
-    particle = particle_configuration_count(m_size, sizes[:k], k)
-    if total != particle:
-        raise OrbitCheckError(
-            f"orbit total {total} != particle-configuration count {particle}"
+    _check_order(order)
+    for k in range(1, order + 1):
+        _profiles(m_size, sizes, k, budget)
+    if m_size > budget:
+        raise BudgetExceededError(
+            f"the exponent map has {m_size} source points (budget {budget})"
         )
-    return total
+    counts = [orbit_count(m_size, sizes, k, budget) for k in range(1, order + 1)]
+    series = TruncatedSeries(INTEGERS, ([1, *sizes] + [0] * order)[: order + 1])
+    formula = integer_power_formula(series, m_size).coefficients[1:]
+    for k, (o, f) in enumerate(zip(counts, formula), start=1):
+        if o != f:
+            raise FiniteSeriesCheckError(
+                f"at t^{k} the oracle counts {o} and the formula gives {f}"
+            )
+    return counts
 
 
 def finite_series(f: FiniteMap, which: str, order: int) -> TruncatedSeries:

@@ -20,7 +20,8 @@ to the lambda-structure.  Log and Exp take one route per ring:
   product over Z[x...]), and Log peels A the same way, degree by degree,
   multiplying the residual by
   lambda_{-b_k}(t^k) = lambda_{b_k}(t^k)^{-1}, so it takes no series
-  inverse.  A step reads only the factor's coefficients at t^k, t^2k, ...
+  inverse.  A factor is passed as the series it is; the kernel skips its
+  zero coefficients, so a step multiplies only the terms at t^k, t^2k, ...
   and rebuilds only the degrees it changes; a coefficient becomes a
   polynomial once, when it is handed out.  The factors (1 - x*t^k)^{+-p}
   stay short, where a ghost sum would convolve every Adams term with the
@@ -137,7 +138,7 @@ def log_map(A: TruncatedSeries, lam: LambdaStructure) -> List:
             _check_domain(lam, b_k)  # before negating, so the error names b_k
             factor = _factor(lam, -b_k, k, order)
             # lambda_{-b_k}(t^k) = 1 - b_k t^k + ... cancels degree k exactly
-            ring.multiply_into(residual, factor.coefficients[::k], k, k + 1)
+            ring.multiply_into(residual, factor.coefficients, k + 1)
             residual[k] = {}  # b_k keeps its own map
     return bs
 
@@ -163,7 +164,7 @@ def exp_map(B: Sequence, lam: LambdaStructure, order: int) -> TruncatedSeries:
         if not b:
             continue
         factor = _factor(lam, b, k, order)
-        ring.multiply_into(result, factor.coefficients[::k], k, k)
+        ring.multiply_into(result, factor.coefficients, k)
     return TruncatedSeries._raw(ring, [ring.from_term_map(c) for c in result])
 
 

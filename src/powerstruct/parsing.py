@@ -23,7 +23,7 @@ import sys
 from typing import Dict, List, Optional, Tuple
 
 from .rings import Ring, UnboundVariableError
-from .series import TruncatedSeries
+from .series import TruncatedSeries, _check_order
 
 
 class ParseError(ValueError):
@@ -169,8 +169,7 @@ def parse_series(
     """
     if not text.strip():
         raise ParseError("empty expression", 0)
-    if order < 0:
-        raise ValueError(f"order must be nonnegative, got {order}")
+    _check_order(order)
     if diagnostics is None:
         diagnostics = sys.stderr
     table = _evaluate(_tokenize(text), ring, series=True)

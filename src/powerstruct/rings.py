@@ -98,15 +98,16 @@ def _check_degrees(variables: Tuple[str, ...], terms: Dict[int, int]) -> None:
 
 
 def _multiply_into(variables: Tuple[str, ...], sums: List[Dict[int, int]],
-                   factor: Sequence["SparsePolynomial"], k: int, low: int) -> None:
+                   factor: Sequence["SparsePolynomial"], low: int) -> None:
     """Multiply the series whose coefficient d has the packed terms sums[d]
-    by factor[0] + factor[1]*t^k + factor[2]*t^(2k) + ..., in place, for the
-    degrees `low`..N only; the caller knows the product leaves the degrees
-    below unchanged (or, for a Log peel step, zero at `low` - 1).  A
-    polynomial product is the case N = 0.
+    by the series factor[0] + factor[1]*t + factor[2]*t^2 + ..., in place,
+    for the degrees `low`..N only; the caller knows the product leaves the
+    degrees below unchanged (or, for a Log peel step, zero at `low` - 1).  A
+    polynomial product is the case N = 0.  Zero factor coefficients are
+    skipped, so a factor lambda_b(t^k) costs only its degrees j*k.
 
     This is the one loop that adds term pairs into packed-key maps.  Degrees
-    are rebuilt from the top down, so every source d - j*k still holds its
+    are rebuilt from the top down, so every source d - j still holds its
     value from before the product, and a rebuilt degree gets a new map: no
     map in `sums` is ever changed.  Term pairs are added with the sources in
     ascending degree, each source term against every factor term.  When
@@ -119,17 +120,17 @@ def _multiply_into(variables: Tuple[str, ...], sums: List[Dict[int, int]],
     same exponent.
     """
     unit = factor[0]._terms == {0: 1}
-    # descending j*k, so that the sources d - j*k come in ascending degree
-    steps = [(j * k, list(f._terms.items()))
+    # descending j, so that the sources d - j come in ascending degree
+    steps = [(j, list(f._terms.items()))
              for j, f in enumerate(factor) if f._terms and (j or not unit)]
     steps.reverse()
     rebuilt = []
     for d in range(len(sums) - 1, low - 1, -1):
         acc = None
-        for jk, terms_j in steps:
-            if jk > d:
+        for j, terms_j in steps:
+            if j > d:
                 continue
-            source = sums[d - jk]
+            source = sums[d - j]
             if not source:
                 continue
             if acc is None:
@@ -323,7 +324,7 @@ class SparsePolynomial(Immutable):
             return SparsePolynomial._raw(self.variables, terms)
         # self outer and other inner, as in a series product of order 0
         sums = [self._terms]
-        _multiply_into(self.variables, sums, (other,), 1, 0)
+        _multiply_into(self.variables, sums, (other,), 0)
         return SparsePolynomial._raw(self.variables, sums[0])
 
     def __pow__(self, n: int) -> "SparsePolynomial":
@@ -501,11 +502,11 @@ class Ring(Immutable):
         return SparsePolynomial._raw(self.variables, terms)
 
     def multiply_into(self, sums: List[Dict[int, int]],
-                      factor: Sequence["SparsePolynomial"], k: int, low: int) -> None:
-        """Multiply the series of packed term maps `sums` in place by
-        factor[0] + factor[1]*t^k + ..., for the degrees `low`..N: the
+                      factor: Sequence["SparsePolynomial"], low: int) -> None:
+        """Multiply the series of packed term maps `sums` in place by the
+        series factor[0] + factor[1]*t + ..., for the degrees `low`..N: the
         kernel `_multiply_into` over this ring's variables."""
-        _multiply_into(self.variables, sums, factor, k, low)
+        _multiply_into(self.variables, sums, factor, low)
 
     def coerce(self, x):
         """Accept ints always; polynomials only from this exact ring."""

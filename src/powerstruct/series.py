@@ -135,7 +135,7 @@ class TruncatedSeries(Immutable):
                     out[k] += ci * cj
             return TruncatedSeries._raw(ring, out)
         sums = ring.term_maps(self.coefficients[: n + 1])
-        ring.multiply_into(sums, other.coefficients[: n + 1], 1, 0)
+        ring.multiply_into(sums, other.coefficients[: n + 1], 0)
         return TruncatedSeries._raw(ring, [ring.from_term_map(c) for c in sums])
 
     def invert(self) -> "TruncatedSeries":

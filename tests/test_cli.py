@@ -281,9 +281,11 @@ def test_a_polynomial_product_names_the_exponent_its_series_product_names():
     assert err == "error: exponent 2147483648 of variable u exceeds the limit 2147483647\n"
 
 
-def test_budget_counts_orbit_representatives():
+def test_budget_counts_orbit_representatives(monkeypatch):
     # {1: 3} spans 6^3 * 3^3 = 5832 tuples of points and states, above the
-    # budget, but only perm(6, 3) * 3^3 / 3! = 540 orbit representatives
+    # budget, but only perm(6, 3) * 3^3 / 3! = 540 orbit representatives;
+    # each of the four coefficients is counted once, through orbit_count
+    calls = counting_coefficients(monkeypatch)
     rc, out, err = run(
         ["oracle", "--m-size", "6", "--target-size", "2", "--coeff-sizes", "3",
          "--order", "4", "--budget", "2000"]
@@ -293,6 +295,7 @@ def test_budget_counts_orbit_representatives():
         "t^1: oracle=18 formula=18\nt^2: oracle=135 formula=135\n"
         "t^3: oracle=540 formula=540\nt^4: oracle=1215 formula=1215\nverdict: agree\n"
     )
+    assert [args[2] for args in calls] == [1, 2, 3, 4]
 
 
 def test_failed_orbit_check_exit_code(monkeypatch):
@@ -308,14 +311,25 @@ def test_failed_orbit_check_exit_code(monkeypatch):
 def counting_coefficients(monkeypatch):
     """Record every t^k coefficient the oracle counts."""
     calls = []
-    real = cli.geometric_power_coefficient
+    real = finite_model.orbit_count
 
     def count(*args, **kwargs):
         calls.append(args)
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(cli, "geometric_power_coefficient", count)
+    monkeypatch.setattr(finite_model, "orbit_count", count)
     return calls
+
+
+def refusing_maps(monkeypatch):
+    """Make every FiniteMap construction fail, so a run that succeeds or is
+    refused by name provably built none."""
+    def refuse(self, *args):
+        raise AssertionError("the oracle built a finite map")
+
+    monkeypatch.setattr(finite_model.FiniteMap, "__init__", refuse)
+    with pytest.raises(AssertionError, match="built a finite map"):
+        finite_model.FiniteMap.constant(1)
 
 
 def counting_profiles(monkeypatch):
@@ -352,7 +366,7 @@ def test_over_budget_oracle_is_refused_before_the_formula_runs(monkeypatch):
     def formula(*args):
         pytest.fail("integer_power_formula ran before the budget refused the run")
 
-    monkeypatch.setattr(cli, "integer_power_formula", formula)
+    monkeypatch.setattr(finite_model, "integer_power_formula", formula)
     calls = counting_coefficients(monkeypatch)
     rc, out, err = run(
         ["oracle", "--m-size", "12", "--target-size", "1", "--coeff-sizes",
@@ -380,10 +394,7 @@ def test_an_oversized_exponent_is_refused_before_its_map_is_built(monkeypatch):
 
 def test_oversized_coefficient_sets_are_refused_before_their_maps_are_built(monkeypatch):
     # the budget walk needs the sizes only; a set of 10^12 points is never built
-    def refuse(cls, *args):
-        raise AssertionError("a coefficient map was built before the budget check")
-
-    monkeypatch.setattr(cli.FiniteMap, "constant", classmethod(refuse))
+    refusing_maps(monkeypatch)
     calls = counting_coefficients(monkeypatch)
     for fmt in ("text", "json"):
         rc, out, err = run(
@@ -396,15 +407,36 @@ def test_oversized_coefficient_sets_are_refused_before_their_maps_are_built(monk
         )
 
 
+@pytest.mark.parametrize(
+    "m_size, coeff_sizes, argv, value",
+    [
+        # m = 0: no profile has a part, so the budget walk never sees the set
+        ("0", "1000000000000", ["--budget", "10"], 0),
+        # X_3 lies past the order, so the budget walk never sees it
+        ("3", "1,1,1000000000000", [], 3),
+    ],
+    ids=["empty-exponent", "set-past-the-order"],
+)
+def test_sets_the_budget_walk_skips_are_never_built(monkeypatch, m_size, coeff_sizes, argv, value):
+    # a map of 10^12 points would not fit in memory; the answer needs only sizes
+    refusing_maps(monkeypatch)
+    base = ["oracle", "--m-size", m_size, "--target-size", "1", "--coeff-sizes",
+            coeff_sizes, "--order", "1", *argv]
+    assert run(base) == (0, f"t^1: oracle={value} formula={value}\nverdict: agree\n", "")
+    payload = {"ring": "Z", "order": 1, "coefficients": [str(value)],
+               "formula": [str(value)], "verdict": "agree"}
+    assert run(base + ["--format", "json"]) == (0, json.dumps(payload) + "\n", "")
+
+
 def test_a_failed_formula_cross_check_exits_2(monkeypatch):
-    real = cli.integer_power_formula
+    real = finite_model.integer_power_formula
 
     def off_at_t2(series, m):
         coefficients = list(real(series, m).coefficients)
         coefficients[2] += 1
         return TruncatedSeries(INTEGERS, coefficients)
 
-    monkeypatch.setattr(cli, "integer_power_formula", off_at_t2)
+    monkeypatch.setattr(finite_model, "integer_power_formula", off_at_t2)
     for fmt in ("text", "json"):
         rc, out, err = run(
             ["oracle", "--m-size", "3", "--target-size", "1", "--coeff-sizes", "2",

@@ -439,7 +439,7 @@ def test_an_inexact_representative_count_raises_a_named_error(monkeypatch):
         finite_model, "math", SimpleNamespace(perm=lambda m, s: 1, factorial=math.factorial)
     )
     with pytest.raises(InexactDivisionError, match="1 / 2 leaves the remainder 1"):
-        finite_model.check_budget(3, [1], 2)
+        finite_model.oracle_coefficients(3, [1], 2)
     err = io.StringIO()
     argv = ["oracle", "--m-size", "3", "--target-size", "1", "--coeff-sizes", "1", "--order", "2"]
     assert cli.main(argv, out=io.StringIO(), err=err) == 2
