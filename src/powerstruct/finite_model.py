@@ -183,25 +183,26 @@ def config_space_map(f: FiniteMap, k: int) -> FiniteMap:
 # -- the geometric power structure oracle -------------------------------------
 
 
-def particle_configuration_count(m_size: int, coeff_sizes: Sequence[int], k: int) -> int:
-    """Count maps from the exponent source into the charged-state space.
+def particle_configuration_count(m_size: int, coeff_sizes: Sequence[int], k: int) -> List[int]:
+    """Count maps from the exponent source into the charged-state space, by total charge 0..k.
 
     Each point carries charge 0 or a pair (charge i, internal state in X_i).
     The points are added one at a time, keeping for every total charge r <= k
     the number of configurations of the points so far.  This sums over points,
     not over charge profiles, so it shares no step with the orbit counts that
-    orbit_count checks against it.
+    _orbit_counts checks against it.
     """
     if k < 0:
         raise ValueError("k must be nonnegative")
     charges = list(enumerate(coeff_sizes[:k], start=1))
     ways = [1] + [0] * k  # ways[r]: configurations of total charge r
     for _point in range(m_size):
-        ways = [
-            ways[r] + sum(size * ways[r - i] for i, size in charges if i <= r)
-            for r in range(k + 1)
-        ]
-    return ways[k]
+        added = ways[:]  # the new point at charge 0
+        for i, size in charges:  # or at charge i, in one of the states of X_i
+            for r in range(i, k + 1):
+                added[r] += size * ways[r - i]
+        ways = added
+    return ways
 
 
 def _profiles(m_size: int, sizes: Sequence[int], k: int, budget: int):
@@ -231,17 +232,27 @@ def _profiles(m_size: int, sizes: Sequence[int], k: int, budget: int):
     return counted
 
 
-def orbit_count(m_size: int, sizes: Sequence[int], k: int, budget: int = DEFAULT_BUDGET) -> int:
-    """Coefficient of t^k of (1 + |X_1|t + |X_2|t^2 + ...)^|M|: the sum of the
-    orbit counts of _profiles, which refuses a profile over the budget, checked
-    against particle_configuration_count (a mismatch raises OrbitCheckError)."""
-    total = sum(reps for _profile, reps in _profiles(m_size, sizes, k, budget))
-    particle = particle_configuration_count(m_size, sizes[:k], k)
-    if total != particle:
-        raise OrbitCheckError(
-            f"orbit total {total} != particle-configuration count {particle}"
-        )
-    return total
+def _orbit_counts(m_size: int, sizes: Sequence[int], orders: Sequence[int], budget: int):
+    """Coefficients t^k, k in the increasing `orders`, of (1 + |X_1|t + |X_2|t^2 + ...)^|M|.
+
+    Each is the sum of one walk of _profiles, which refuses a profile over the
+    budget.  Then refuses M with more than `budget` points, and checks every
+    order, lowest first, against one particle_configuration_count to the top
+    order (OrbitCheckError); with no order, that O(m_size) count never runs.
+    """
+    counts = []
+    for k in orders:  # a comprehension here would turn the arguments into cells
+        counts.append(sum(reps for _profile, reps in _profiles(m_size, sizes, k, budget)))
+    if m_size > budget:
+        raise BudgetExceededError(f"the exponent map has {m_size} source points (budget {budget})")
+    if orders:
+        particles = particle_configuration_count(m_size, sizes, orders[-1])
+        for k, total in zip(orders, counts):
+            if total != particles[k]:
+                raise OrbitCheckError(
+                    f"orbit total {total} != particle-configuration count {particles[k]}"
+                )
+    return counts
 
 
 def geometric_power_coefficient(
@@ -251,30 +262,18 @@ def geometric_power_coefficient(
     budget: int = DEFAULT_BUDGET,
 ) -> int:
     """Coefficient of t^k of (1 + [X_1]t + [X_2]t^2 + ...)^[M -> N]: the
-    orbit_count of the sizes of M and the X_i, which are their classes."""
-    return orbit_count(exponent.source_size, [x.source_size for x in coeffs], k, budget)
+    orbit count of the sizes of M and the X_i, which are their classes."""
+    return _orbit_counts(exponent.source_size, [x.source_size for x in coeffs], [k], budget)[0]
 
 
 def oracle_coefficients(
     m_size: int, sizes: Sequence[int], order: int, budget: int = DEFAULT_BUDGET
 ) -> List[int]:
-    """The orbit counts of t^1..t^order of (1 + |X_1|t + |X_2|t^2 + ...)^|M|,
-    each checked against the closed-form integer power.
-
-    Refuses the run before counting anything if a charge profile of any order
-    needs more than `budget` orbit representatives, then if M has more than
-    `budget` points (the particle count takes O(m_size) steps).  A count that
-    disagrees with its particle count raises OrbitCheckError, and one that
-    disagrees with integer_power_formula raises FiniteSeriesCheckError.
-    """
+    """The _orbit_counts of t^1..t^order of (1 + |X_1|t + |X_2|t^2 + ...)^|M|,
+    with its refusals and particle check, then checked against the closed-form
+    integer power: a mismatch raises FiniteSeriesCheckError."""
     _check_order(order)
-    for k in range(1, order + 1):
-        _profiles(m_size, sizes, k, budget)
-    if m_size > budget:
-        raise BudgetExceededError(
-            f"the exponent map has {m_size} source points (budget {budget})"
-        )
-    counts = [orbit_count(m_size, sizes, k, budget) for k in range(1, order + 1)]
+    counts = _orbit_counts(m_size, sizes, range(1, order + 1), budget)
     series = TruncatedSeries(INTEGERS, ([1, *sizes] + [0] * order)[: order + 1])
     formula = integer_power_formula(series, m_size).coefficients[1:]
     for k, (o, f) in enumerate(zip(counts, formula), start=1):

@@ -284,8 +284,17 @@ def test_a_polynomial_product_names_the_exponent_its_series_product_names():
 def test_budget_counts_orbit_representatives(monkeypatch):
     # {1: 3} spans 6^3 * 3^3 = 5832 tuples of points and states, above the
     # budget, but only perm(6, 3) * 3^3 / 3! = 540 orbit representatives;
-    # each of the four coefficients is counted once, through orbit_count
-    calls = counting_coefficients(monkeypatch)
+    # the profiles of each of the four coefficients are walked once, and one
+    # particle count to t^4 checks them all
+    walked = []  # the order k of every walk of the charge profiles
+    real = finite_model._profiles
+
+    def walk(*args):
+        walked.append(args[2])
+        return real(*args)
+
+    monkeypatch.setattr(finite_model, "_profiles", walk)
+    calls = counting_particle_counts(monkeypatch)
     rc, out, err = run(
         ["oracle", "--m-size", "6", "--target-size", "2", "--coeff-sizes", "3",
          "--order", "4", "--budget", "2000"]
@@ -295,11 +304,12 @@ def test_budget_counts_orbit_representatives(monkeypatch):
         "t^1: oracle=18 formula=18\nt^2: oracle=135 formula=135\n"
         "t^3: oracle=540 formula=540\nt^4: oracle=1215 formula=1215\nverdict: agree\n"
     )
-    assert [args[2] for args in calls] == [1, 2, 3, 4]
+    assert walked == [1, 2, 3, 4]
+    assert [args[2] for args in calls] == [4]
 
 
 def test_failed_orbit_check_exit_code(monkeypatch):
-    monkeypatch.setattr(finite_model, "particle_configuration_count", lambda *args: 3)
+    monkeypatch.setattr(finite_model, "particle_configuration_count", lambda *args: [1, 3])
     rc, out, err = run(
         ["oracle", "--m-size", "2", "--target-size", "1", "--coeff-sizes", "1",
          "--order", "1"]
@@ -308,16 +318,16 @@ def test_failed_orbit_check_exit_code(monkeypatch):
     assert err == "error: orbit total 2 != particle-configuration count 3\n"
 
 
-def counting_coefficients(monkeypatch):
-    """Record every t^k coefficient the oracle counts."""
+def counting_particle_counts(monkeypatch):
+    """Record every particle count the oracle runs, its O(|M|) step."""
     calls = []
-    real = finite_model.orbit_count
+    real = finite_model.particle_configuration_count
 
     def count(*args, **kwargs):
         calls.append(args)
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(finite_model, "orbit_count", count)
+    monkeypatch.setattr(finite_model, "particle_configuration_count", count)
     return calls
 
 
@@ -333,8 +343,8 @@ def refusing_maps(monkeypatch):
 
 
 def counting_profiles(monkeypatch):
-    """Record every (charge profile, orbit count) pair admitted by the budget
-    walk and then by the count of each coefficient."""
+    """Record every (charge profile, orbit count) pair admitted by the walk
+    that counts each coefficient."""
     calls = []
     real = finite_model._profiles
 
@@ -349,8 +359,8 @@ def counting_profiles(monkeypatch):
 
 def test_over_budget_run_is_refused_before_any_enumeration(monkeypatch):
     # every profile up to t^8 fits the budget; the first too large is at t^9,
-    # and no coefficient is counted before the refusal
-    calls = counting_coefficients(monkeypatch)
+    # and no particle count runs before the refusal
+    calls = counting_particle_counts(monkeypatch)
     rc, out, err = run(
         ["oracle", "--m-size", "9", "--target-size", "1", "--coeff-sizes",
          "2,2,2,2,2,2,2,2,2", "--order", "9", "--budget", "100000"]
@@ -367,7 +377,7 @@ def test_over_budget_oracle_is_refused_before_the_formula_runs(monkeypatch):
         pytest.fail("integer_power_formula ran before the budget refused the run")
 
     monkeypatch.setattr(finite_model, "integer_power_formula", formula)
-    calls = counting_coefficients(monkeypatch)
+    calls = counting_particle_counts(monkeypatch)
     rc, out, err = run(
         ["oracle", "--m-size", "12", "--target-size", "1", "--coeff-sizes",
          ",".join(["1"] * 60), "--order", "60", "--budget", "10"]
@@ -379,8 +389,8 @@ def test_over_budget_oracle_is_refused_before_the_formula_runs(monkeypatch):
 def test_an_oversized_exponent_is_refused_before_its_map_is_built(monkeypatch):
     # every X_i up to t^1 is empty, so no profile needs a representative; the
     # source size alone is over the budget, and a map of 10^12 points is
-    # never allocated
-    calls = counting_coefficients(monkeypatch)
+    # never allocated, and no particle count runs
+    calls = counting_particle_counts(monkeypatch)
     for fmt in ("text", "json"):
         rc, out, err = run(
             ["oracle", "--m-size", str(10**12), "--target-size", "1", "--coeff-sizes",
@@ -393,9 +403,10 @@ def test_an_oversized_exponent_is_refused_before_its_map_is_built(monkeypatch):
 
 
 def test_oversized_coefficient_sets_are_refused_before_their_maps_are_built(monkeypatch):
-    # the budget walk needs the sizes only; a set of 10^12 points is never built
+    # the budget walk needs the sizes only; a set of 10^12 points is never
+    # built, and no particle count runs
     refusing_maps(monkeypatch)
-    calls = counting_coefficients(monkeypatch)
+    calls = counting_particle_counts(monkeypatch)
     for fmt in ("text", "json"):
         rc, out, err = run(
             ["oracle", "--m-size", "1", "--target-size", "1", "--coeff-sizes",
@@ -448,14 +459,14 @@ def test_a_failed_formula_cross_check_exits_2(monkeypatch):
 
 def test_oracle_enumerates_only_profiles_that_can_contribute(monkeypatch):
     # (1 + t)^2: only {1: 1} and {1: 2} have at most two parts, all of charge 1;
-    # the budget walk admits each once and the count once more
+    # the walk of each order admits each once, and counts it
     calls = counting_profiles(monkeypatch)
     rc, out, err = run(
         ["oracle", "--m-size", "2", "--target-size", "1", "--coeff-sizes", "1",
          "--order", "60"]
     )
     assert (rc, err) == (0, "")
-    assert calls == [({1: 1}, 2), ({1: 2}, 1)] * 2
+    assert calls == [({1: 1}, 2), ({1: 2}, 1)]
     lines = out.splitlines()
     assert lines[:3] == ["t^1: oracle=2 formula=2", "t^2: oracle=1 formula=1", "t^3: oracle=0 formula=0"]
     assert lines[60:] == ["verdict: agree"]
@@ -468,13 +479,44 @@ def test_oracle_skips_profiles_with_an_empty_coefficient_set(monkeypatch):
         ["oracle", "--m-size", "3", "--target-size", "2", "--coeff-sizes", "2,0,1",
          "--order", "5"]
     )
-    assert (rc, err, len(calls)) == (0, "", 2 * 6)
+    assert (rc, err, len(calls)) == (0, "", 6)
     assert out == (
         "t^1: oracle=6 formula=6\nt^2: oracle=12 formula=12\n"
         "t^3: oracle=11 formula=11\nt^4: oracle=12 formula=12\n"
         "t^5: oracle=12 formula=12\nverdict: agree\n"
     )
     assert all(i != 2 for profile, _reps in calls for i in profile)
+
+
+def test_an_oracle_of_order_0_runs_no_particle_count(monkeypatch):
+    # M has as many points as the budget allows, so a particle count would
+    # take 10^7 steps; with no order to check none runs
+    def refuse(*args):
+        pytest.fail("the oracle ran a particle count with no order to check")
+
+    monkeypatch.setattr(finite_model, "particle_configuration_count", refuse)
+    base = ["oracle", "--m-size", "10000000", "--target-size", "1", "--coeff-sizes", "1",
+            "--order", "0"]
+    assert run(base) == (0, "verdict: agree\n", "")
+    payload = {"ring": "Z", "order": 0, "coefficients": [], "formula": [], "verdict": "agree"}
+    assert run(base + ["--format", "json"]) == (0, json.dumps(payload) + "\n", "")
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["--m-size", "-1", "--target-size", "1", "--coeff-sizes", "2"],
+         "--m-size must be >= 0 and --target-size >= 1"),
+        (["--m-size", "3", "--target-size", "0", "--coeff-sizes", "2"],
+         "--m-size must be >= 0 and --target-size >= 1"),
+        (["--m-size", "3", "--target-size", "1", "--coeff-sizes", "1,"], "bad --coeff-sizes '1,'"),
+        (["--m-size", "3", "--target-size", "1", "--coeff-sizes", "1,-2"],
+         "coefficient sizes must be nonnegative"),
+    ],
+    ids=["negative-m", "empty-target", "bad-sizes", "negative-size"],
+)
+def test_oracle_input_refusals_are_usage_errors(argv, message):
+    assert run(["oracle", "--order", "2", *argv]) == (1, "", f"error: {message}\n")
 
 
 @pytest.mark.parametrize("module", ["powerstruct", "powerstruct.cli"])

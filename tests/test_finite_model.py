@@ -7,6 +7,7 @@ from types import SimpleNamespace
 
 import pytest
 
+from conftest import assert_refuses
 import _reference
 from _gen import exponent_map_classes
 from _reference import (
@@ -63,6 +64,8 @@ def test_find_equivalence():
     assert all(h2[f(x)] == g(h1[x]) for x in range(3))
     assert find_equivalence(f, FiniteMap(3, 2, [0, 1, 1])) is not None
     assert find_equivalence(f, FiniteMap(3, 1, [0, 0, 0])) is None
+    # equal sizes, fibers of sizes (1, 3) against (2, 2)
+    assert find_equivalence(FiniteMap(4, 2, [0, 0, 0, 1]), FiniteMap(4, 2, [0, 0, 1, 1])) is None
 
 
 def test_symmetric_power_sizes():
@@ -137,6 +140,25 @@ def test_disjoint_union_decomposition(builder):
                     assert find_equivalence(lhs, pieces) is not None
 
 
+FINITE_MODEL_REFUSALS = [
+    pytest.param(lambda: FiniteMap(-1, 1, []), ValueError, "set sizes must be nonnegative",
+                 id="negative-size"),
+    pytest.param(lambda: FiniteMap(2, 2, [0]), ValueError, "expected 2 values, got 1",
+                 id="too-few-values"),
+    pytest.param(lambda: combine(FiniteMap.unit(), FiniteMap.unit(), "meet"), ValueError,
+                 "unknown op 'meet'", id="unknown-op"),
+    pytest.param(lambda: symmetric_power_map(FiniteMap.unit(), -1), ValueError,
+                 "k must be nonnegative", id="negative-power"),
+    pytest.param(lambda: finite_series(FiniteMap.unit(), "gamma", 2), ValueError,
+                 "unknown series kind 'gamma'", id="unknown-series"),
+]
+
+
+@pytest.mark.parametrize("call, error, message", FINITE_MODEL_REFUSALS)
+def test_finite_model_refusals_name_their_cause(call, error, message):
+    assert_refuses(call, error, message)
+
+
 def test_geometric_power_coefficient_example():
     # |M|=3, one coefficient set of size 2, k=2: coefficient of t^2 in (1+2t)^3
     assert geometric_power_coefficient(
@@ -162,13 +184,20 @@ def test_geometric_power_budget():
         geometric_power_coefficient(
             FiniteMap.constant(4), [FiniteMap.constant(3)], 4, budget=10
         )
+    # an exponent over the budget, with no profile to refuse first
+    assert_refuses(
+        lambda: geometric_power_coefficient(FiniteMap.constant(3), [FiniteMap.constant(0)], 1, budget=2),
+        BudgetExceededError,
+        "the exponent map has 3 source points (budget 2)",
+    )
 
 
 def test_particle_configuration_count():
     # |M|=2, |X_1|=2: maps with total charge 1 pick one point and one state
-    assert particle_configuration_count(2, [2], 1) == 4
-    assert particle_configuration_count(3, [], 2) == 0
-    assert particle_configuration_count(0, [5], 0) == 1
+    assert particle_configuration_count(2, [2], 1)[1] == 4
+    assert particle_configuration_count(3, [], 2)[2] == 0
+    assert particle_configuration_count(0, [5], 0)[0] == 1
+    assert_refuses(lambda: particle_configuration_count(1, [1], -1), ValueError, "k must be nonnegative")
 
 
 def test_particle_count_is_a_coefficient_of_the_integer_power():
@@ -181,9 +210,11 @@ def test_particle_count_is_a_coefficient_of_the_integer_power():
         for n in range(4):
             for sizes in itertools.product(range(4), repeat=n):
                 for k in range(7):
-                    assert particle_configuration_count(m, sizes, k) == expected(m, sizes, k)
+                    assert particle_configuration_count(m, sizes, k)[k] == expected(m, sizes, k)
     sizes = [3, 1, 4, 1, 5, 9]
-    assert particle_configuration_count(12, sizes, 6) == expected(12, sizes, 6)
+    assert particle_configuration_count(12, sizes, 6)[6] == expected(12, sizes, 6)
+    # one count to t^6 holds every lower coefficient too
+    assert particle_configuration_count(12, sizes, 6) == [expected(12, sizes, k) for k in range(7)]
 
 
 # The three cases that open every perfbench oracle run, as blocks of one profile.
@@ -425,7 +456,7 @@ def test_kernel_checks_freeness(monkeypatch):
 def test_failed_cross_checks_raise_named_errors(monkeypatch):
     with pytest.raises(EquivalenceCheckError):
         find_equivalence(_DriftingMap(2, 2, [0, 1]), FiniteMap.identity(2))
-    monkeypatch.setattr(finite_model, "particle_configuration_count", lambda *args: -1)
+    monkeypatch.setattr(finite_model, "particle_configuration_count", lambda *args: [1, -1])
     with pytest.raises(OrbitCheckError, match="^orbit total 2 != particle-configuration count -1$"):
         geometric_power_coefficient(FiniteMap.constant(2), [FiniteMap.constant(1)], 1)
     monkeypatch.setattr(finite_model, "power", lambda base, m, lam: base)

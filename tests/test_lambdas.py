@@ -18,6 +18,7 @@ from powerstruct.lambdas import (
 from powerstruct.rings import INTEGERS, InexactDivisionError, Ring, SparsePolynomial
 from powerstruct.series import NonUnitError, TruncatedSeries
 
+from conftest import assert_refuses
 from _gen import random_element, random_unit_series, sparse_element, sparse_unit_series
 
 UV = Ring(("u", "v"))
@@ -193,6 +194,26 @@ def test_log_and_power_refuse_a_ring_mismatch_alike():
 # -- integer power formula ----------------------------------------------------
 
 
+LAMBDAS_REFUSALS = [
+    pytest.param(
+        lambda: LambdaStructure("sigma", INTEGERS), ValueError,
+        "unknown lambda kind 'sigma'; choose from ('kapranov', 'binomial', 'opposite', 'poly-product')",
+        id="unknown-kind",
+    ),
+    pytest.param(lambda: list(charge_profiles(-1)), ValueError, "k must be nonnegative",
+                 id="negative-charge"),
+    pytest.param(lambda: integer_power_formula(S([2, 1]), 2), NonUnitError,
+                 "the integer power formula needs constant term 1", id="non-unit"),
+    pytest.param(lambda: integer_power_formula(S([1, 1]), 2.0), TypeError,
+                 "the exponent of integer_power_formula must be an int", id="float-exponent"),
+]
+
+
+@pytest.mark.parametrize("call, error, message", LAMBDAS_REFUSALS)
+def test_lambdas_refusals_name_their_cause(call, error, message):
+    assert_refuses(call, error, message)
+
+
 def test_charge_profiles():
     profiles = list(charge_profiles(4))
     assert {tuple(sorted(p.items())) for p in profiles} == {
@@ -252,7 +273,7 @@ def test_integer_power_formula_matches_repeated_multiplication():
         assert integer_power_formula(a, m) == a.int_pow(m)
 
 
-def test_integer_power_formula_visits_only_contributing_profiles(monkeypatch):
+def test_integer_power_formula_stops_at_x_to_the_m_and_at_the_first_zero_power(monkeypatch):
     # a profile with a part i where a_i = 0, or with more than m >= 0 parts,
     # adds 0: the binomial sum stops at the first power X^s of X = A - 1 that
     # is zero, and forms none above X^m

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from conftest import assert_refuses
 from _reference import hand_rolled_hilb_local_surface
 from powerstruct.lambdas import LambdaStructure, power
 from powerstruct.motivic import (
@@ -127,6 +128,10 @@ def test_specialize_unknown():
     z = hilb_local_surface(2)
     with pytest.raises(ValueError):
         specialize_series(z, "rank")
+    assert_refuses(lambda: specialize_series(TruncatedSeries(INTEGERS, [1, 1]), "euler"),
+                   ValueError, "euler specialization needs a polynomial ring")
+    assert_refuses(lambda: specialize_series(hodge_zeta(HODGE_RING.one, 1), "hodge_from_L"),
+                   ValueError, "hodge_from_L specializes Z[L], not Z[u,v]")
 
 
 def test_specialization_commutes_with_power():

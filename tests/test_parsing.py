@@ -20,6 +20,8 @@ def test_parse_ring():
         parse_ring("Q")
     with pytest.raises(ValueError):
         parse_ring("Z[]")
+    with pytest.raises(ValueError, match="^'t' is reserved for series$"):
+        parse_ring("Z[t]")
 
 
 def test_parse_polynomial_basic():

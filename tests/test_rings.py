@@ -17,6 +17,7 @@ from powerstruct.rings import (
 )
 from powerstruct.series import TruncatedSeries
 
+from conftest import assert_refuses
 from _gen import random_element
 
 UV = Ring(("u", "v"))
@@ -128,6 +129,27 @@ def test_ring_names_and_coercion():
     assert INTEGERS.coerce(5) == 5
     with pytest.raises(ArityError):
         UV.coerce(SparsePolynomial(("u",), {(1,): 1}))
+    assert_refuses(lambda: INTEGERS.coerce(True), TypeError, "bool is not a ring element")
+    assert_refuses(lambda: INTEGERS.coerce(UV.gen("u")), ArityError,
+                   "SparsePolynomial(('u', 'v'), u) is not an element of Z")
+    assert_refuses(lambda: INTEGERS.coerce(1.5), TypeError, "cannot interpret float as a Z element")
+
+
+RINGS_REFUSALS = [
+    pytest.param(lambda: Ring(("u", "u")), ValueError, "duplicate variables in ('u', 'u')",
+                 id="duplicate-variables"),
+    pytest.param(lambda: INTEGERS.monomial((1,)), ArityError, "Z has no variables",
+                 id="monomial-of-Z"),
+    pytest.param(lambda: UV.gen("u") ** -1, ValueError,
+                 "negative polynomial powers are not defined", id="negative-power"),
+    pytest.param(lambda: UV.gen("u") + 1, TypeError, "expected SparsePolynomial, got int",
+                 id="plus-an-int"),
+]
+
+
+@pytest.mark.parametrize("call, error, message", RINGS_REFUSALS)
+def test_rings_refusals_name_their_cause(call, error, message):
+    assert_refuses(call, error, message)
 
 
 @pytest.mark.parametrize("ring", [Ring(("u",)), UV, Ring(("a", "b", "c"))], ids=lambda r: r.name)
@@ -200,6 +222,12 @@ def test_setting_any_attribute_raises(build):
             setattr(value, name, None)
     assert [getattr(value, name) for name in slots] == before
     assert not hasattr(value, "extra")
+
+
+@pytest.mark.parametrize("name", ["Ring", "FiniteMap", "TruncatedSeries"])
+def test_equal_values_hash_equal(name):
+    value, again = IMMUTABLE[name](), IMMUTABLE[name]()
+    assert value == again and hash(value) == hash(again)
 
 
 @pytest.mark.parametrize("build", IMMUTABLE.values(), ids=IMMUTABLE.keys())

@@ -5,6 +5,7 @@ import pytest
 from powerstruct.rings import INTEGERS, Ring
 from powerstruct.series import NonUnitError, RingMismatchError, TruncatedSeries
 
+from conftest import assert_refuses
 from _gen import random_series, random_unit_series
 
 UV = Ring(("u", "v"))
@@ -40,6 +41,23 @@ def test_negative_order_is_refused(build):
     for order in (-1, -2):
         with pytest.raises(ValueError, match=f"^order must be nonnegative, got {order}$"):
             build(order)
+
+
+SERIES_REFUSALS = [
+    pytest.param(lambda: TruncatedSeries(INTEGERS, []), ValueError,
+                 "a truncated series needs at least the t^0 coefficient", id="no-coefficients"),
+    pytest.param(lambda: S([1, 1]) * 1, TypeError, "expected TruncatedSeries, got int",
+                 id="times-an-int"),
+    pytest.param(lambda: S([1, 1]).rescale(0), ValueError, "rescale factor must be >= 1, got 0",
+                 id="rescale-by-0"),
+    pytest.param(lambda: S([1, 1]).eq_mod(S([1, 1]), -1), ValueError, "k must be nonnegative",
+                 id="negative-eq-mod"),
+]
+
+
+@pytest.mark.parametrize("call, error, message", SERIES_REFUSALS)
+def test_series_refusals_name_their_cause(call, error, message):
+    assert_refuses(call, error, message)
 
 
 def test_hand_convolution():
