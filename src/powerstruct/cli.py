@@ -96,16 +96,16 @@ def _emit(ring: Ring, coefficients: Sequence, first: int, fmt: str, out) -> None
             print(f"t^{j}: {ring.format_element(c)}", file=out)
 
 
-def _cmd_power(args, out) -> int:
+def _cmd_power(args, out, err) -> int:
     ring = parse_ring(args.ring)
-    series = parse_series(args.series, ring, args.order)
+    series = parse_series(args.series, ring, args.order, err)
     exponent = parse_polynomial(args.exponent, ring)
     lam = LambdaStructure(args.lam, ring)
     _emit(ring, power(series, exponent, lam).coefficients, 0, args.format, out)
     return 0
 
 
-def _cmd_exp(args, out) -> int:
+def _cmd_exp(args, out, err) -> int:
     ring = parse_ring(args.ring)
     bs = [parse_polynomial(piece, ring) for piece in args.coeffs.split(",")]
     lam = LambdaStructure(args.lam, ring)
@@ -113,15 +113,15 @@ def _cmd_exp(args, out) -> int:
     return 0
 
 
-def _cmd_log(args, out) -> int:
+def _cmd_log(args, out, err) -> int:
     ring = parse_ring(args.ring)
-    series = parse_series(args.series, ring, args.order)
+    series = parse_series(args.series, ring, args.order, err)
     lam = LambdaStructure(args.lam, ring)
     _emit(ring, log_map(series, lam), 1, args.format, out)
     return 0
 
 
-def _cmd_zeta(args, out) -> int:
+def _cmd_zeta(args, out, err) -> int:
     e = parse_polynomial(args.hodge, HODGE_RING)
     series = hodge_zeta(e, args.order)
     if args.euler:
@@ -130,7 +130,7 @@ def _cmd_zeta(args, out) -> int:
     return 0
 
 
-def _cmd_hilb(args, out) -> int:
+def _cmd_hilb(args, out, err) -> int:
     if args.local:
         series = hilb_local_surface(args.order)
     else:
@@ -142,15 +142,13 @@ def _cmd_hilb(args, out) -> int:
     return 0
 
 
-def _cmd_oracle(args, out) -> int:
+def _cmd_oracle(args, out, err) -> int:
     if args.m_size < 0 or args.target_size < 1:
         raise ValueError("--m-size must be >= 0 and --target-size >= 1")
     try:
         sizes = [int(s) for s in args.coeff_sizes.split(",")]
     except ValueError:
         raise ValueError(f"bad --coeff-sizes {args.coeff_sizes!r}")
-    if any(s < 0 for s in sizes):
-        raise ValueError("coefficient sizes must be nonnegative")
     # the counts equal the formula's coefficients, or oracle_coefficients raises
     values = [str(v) for v in oracle_coefficients(args.m_size, sizes, args.order, args.budget)]
     if args.format == "json":
@@ -185,7 +183,7 @@ def main(argv: Optional[Sequence[str]] = None, out=None, err=None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        return _COMMANDS[args.command](args, out)
+        return _COMMANDS[args.command](args, out, err)
     except ComputationError as e:
         print(f"error: {e}", file=err)
         return 2

@@ -216,8 +216,6 @@ def _profiles(m_size: int, sizes: Sequence[int], k: int, budget: int):
     each.  Returns the (profile, count) pairs, or refuses the first profile
     whose count exceeds the budget.
     """
-    if k < 1:
-        raise ValueError("k must be positive")
     counted = []
     for profile in charge_profiles(k, m_size, parts=[i for i, n in enumerate(sizes, 1) if n]):
         reps = math.perm(m_size, sum(profile.values()))
@@ -272,6 +270,10 @@ def oracle_coefficients(
     """The _orbit_counts of t^1..t^order of (1 + |X_1|t + |X_2|t^2 + ...)^|M|,
     with its refusals and particle check, then checked against the closed-form
     integer power: a mismatch raises FiniteSeriesCheckError."""
+    if m_size < 0:
+        raise ValueError(f"m_size must be nonnegative, got {m_size}")
+    if any(s < 0 for s in sizes):
+        raise ValueError("coefficient sizes must be nonnegative")
     _check_order(order)
     counts = _orbit_counts(m_size, sizes, range(1, order + 1), budget)
     series = TruncatedSeries(INTEGERS, ([1, *sizes] + [0] * order)[: order + 1])

@@ -1,9 +1,10 @@
 """Expression parsing for polynomials and truncated series.
 
-One recursive descent over the token list parses and evaluates at once,
-returning a map t-degree -> ring element.  Errors come in a fixed order:
-an unknown character first, then the first syntax error, then the first
-name outside the ring (or 't' outside a series), each at its byte offset.
+One recursive descent over the token list parses and evaluates at once
+with the ring's own operators; a series is a polynomial in the ring with
+'t' appended, split by its degree in t.  Errors come in a fixed order: an
+unknown character first, then the first syntax error, then the first name
+outside the ring (or 't' outside a series), each at its byte offset.
 
 Grammar (whitespace-insensitive; offsets in error messages are byte offsets):
 
@@ -20,7 +21,7 @@ from __future__ import annotations
 
 import re
 import sys
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 from .rings import Ring, UnboundVariableError
 from .series import TruncatedSeries, _check_order
@@ -59,13 +60,16 @@ def _tokenize(text: str) -> List[Tuple[str, str, int]]:
     return tokens
 
 
-def _evaluate(tokens: List[Tuple[str, str, int]], ring: Ring, series: bool) -> Dict[int, object]:
-    """Parse and evaluate in one pass to a map t-degree -> ring element.
+def _evaluate(tokens: List[Tuple[str, str, int]], ring: Ring,
+              series_ring: Optional[Ring] = None):
+    """Parse and evaluate in one pass to an element of `ring`, or for a
+    series of `series_ring`, which is `ring` with 't' appended.
 
-    No truncation happens here.  Outside a series 't' is refused, so every
-    degree is 0.  A name outside the ring, or 't' outside a series, is kept
-    until the whole text has parsed, so any syntax error is raised first.
+    Outside a series 't' is refused.  A name outside the ring, or 't'
+    outside a series, is kept until the whole text has parsed, so any
+    syntax error is raised first.
     """
+    target = series_ring or ring
     pos = 0
     name_errors: List[ParseError] = []
 
@@ -78,38 +82,26 @@ def _evaluate(tokens: List[Tuple[str, str, int]], ring: Ring, series: bool) -> D
             return value
         return None
 
-    def expr() -> Dict[int, object]:
-        negate = take("-")
-        out = term()
-        if negate:
-            out = {d: -c for d, c in out.items()}
+    def expr():
+        out = -term() if take("-") else term()
         while True:
             op = take("+-")
             if op is None:
                 return out
-            for d, c in term().items():
-                c = -c if op == "-" else c
-                out[d] = out[d] + c if d in out else c
-            out = {d: c for d, c in out.items() if c}
+            out = out - term() if op == "-" else out + term()
 
-    def term() -> Dict[int, object]:
+    def term():
         out = factor()
         while take("*"):
-            a, b, out = out, factor(), {}
-            for d1, c1 in a.items():
-                for d2, c2 in b.items():
-                    d = d1 + d2
-                    p = c1 * c2
-                    out[d] = out[d] + p if d in out else p
-            out = {d: c for d, c in out.items() if c}
+            out = out * factor()
         return out
 
-    def factor() -> Dict[int, object]:
+    def factor():
         nonlocal pos
         kind, value, offset = tokens[pos]
         pos += 1
         if kind == "int":
-            return {0: ring.from_int(int(value))}
+            return target.from_int(int(value))
         if kind == "ident":
             exp = 1
             if take("^"):
@@ -118,17 +110,15 @@ def _evaluate(tokens: List[Tuple[str, str, int]], ring: Ring, series: bool) -> D
                 if k2 != "int":
                     raise ParseError("expected a nonnegative integer exponent", o2)
                 exp = int(v2)
-            if value == "t":
-                if series:
-                    return {exp: ring.one}
+            if value == "t" and series_ring is None:
                 name_errors.append(ParseError("'t' is reserved for series", offset))
-                return {}
+                return target.zero
             try:
-                return {0: ring.gen(value) ** exp}
+                return target.gen(value) ** exp
             except UnboundVariableError:
                 message = f"variable {value!r} is not in the ring {ring.name}"
                 name_errors.append(ParseError(message, offset))
-                return {}
+                return target.zero
         if kind == "op" and value == "(":
             out = expr()
             if not take(")"):
@@ -156,7 +146,7 @@ def parse_polynomial(text: str, ring: Optional[Ring] = None):
     tokens = _tokenize(text)
     if ring is None:
         ring = Ring(sorted({v for kind, v, _ in tokens if kind == "ident" and v != "t"}))
-    return _evaluate(tokens, ring, series=False).get(0, ring.zero)
+    return _evaluate(tokens, ring)
 
 
 def parse_series(
@@ -164,24 +154,29 @@ def parse_series(
 ) -> TruncatedSeries:
     """Parse a series expression, truncating at `order`.
 
-    Terms of degree above the order are discarded with a warning on the
-    diagnostic stream (stderr by default).
+    The text is evaluated as a polynomial in the ring with 't' appended, so
+    't' has the degree limit of every variable.  Terms of degree above the
+    order are discarded with a warning on the diagnostic stream (stderr by
+    default), one per degree.  A ring that has a variable 't' is refused.
     """
     if not text.strip():
         raise ParseError("empty expression", 0)
     _check_order(order)
+    if "t" in ring.variables:
+        raise ValueError("'t' is reserved for series")
     if diagnostics is None:
         diagnostics = sys.stderr
-    table = _evaluate(_tokenize(text), ring, series=True)
+    with_t = Ring(ring.variables + ("t",))
     coeffs = [ring.zero] * (order + 1)
-    for d, c in sorted(table.items()):
+    discarded = set()
+    for exps, c in with_t.terms(_evaluate(_tokenize(text), ring, with_t)):
+        *x, d = exps
         if d > order:
-            print(
-                f"warning: degree-{d} term discarded (order {order})",
-                file=diagnostics,
-            )
-            continue
-        coeffs[d] = c
+            discarded.add(d)
+        else:
+            coeffs[d] += ring.monomial(x, c)
+    for d in sorted(discarded):
+        print(f"warning: degree-{d} term discarded (order {order})", file=diagnostics)
     return TruncatedSeries(ring, coeffs)
 
 

@@ -22,6 +22,7 @@ from __future__ import annotations
 from collections.abc import Mapping
 from functools import lru_cache, reduce
 from operator import or_
+from types import MappingProxyType
 from typing import Dict, Iterable, Iterator, List, Sequence, Tuple
 
 ExponentVector = Tuple[int, ...]
@@ -197,37 +198,6 @@ class Immutable:
         raise AttributeError(f"{type(self).__name__} is immutable")
 
 
-class TermMap(Mapping):
-    """Read-only view of a polynomial's terms keyed by exponent tuples.
-
-    `len` and `values` read the packed term map directly; iteration and
-    lookup convert between exponent tuples and packed keys.
-    """
-
-    __slots__ = ("_packed", "_variables")
-
-    def __init__(self, packed: Dict[int, int], variables: Tuple[str, ...]):
-        self._packed = packed
-        self._variables = variables
-
-    def __getitem__(self, exps) -> int:
-        try:
-            key = _pack(self._variables, tuple(exps))
-        except (TypeError, ValueError):
-            raise KeyError(exps) from None
-        return self._packed[key]
-
-    def __iter__(self) -> Iterator[ExponentVector]:
-        arity = len(self._variables)
-        return (_unpack(key, arity) for key in self._packed)
-
-    def __len__(self) -> int:
-        return len(self._packed)
-
-    def values(self):
-        return self._packed.values()
-
-
 class SparsePolynomial(Immutable):
     """A multivariate integer polynomial in normalized sparse form.
 
@@ -264,8 +234,10 @@ class SparsePolynomial(Immutable):
         return self
 
     @property
-    def terms(self) -> TermMap:
-        return TermMap(self._terms, self.variables)
+    def terms(self) -> Mapping[ExponentVector, int]:
+        """A read-only map from exponent tuples to coefficients."""
+        arity = len(self.variables)
+        return MappingProxyType({_unpack(key, arity): c for key, c in self._terms.items()})
 
     @classmethod
     def constant(cls, variables: Iterable[str], value: int) -> "SparsePolynomial":

@@ -257,6 +257,29 @@ def test_degree_overflow_exit_code():
     assert (rc, out, err) == (0, "t^0: 1\nt^1: 2*u^2147483647\n", "")
 
 
+@pytest.mark.parametrize("series, exponent", [
+    ("1 + t + t^3000000000", 2147483648),
+    ("1 + t + t^2147483648", 2147483648),
+    ("1 + t^2000000000*t^2000000000", 4000000000),
+])
+def test_a_t_exponent_over_the_limit_exits_2(series, exponent):
+    # t is a variable of the series ring, with the degree limit of every other
+    assert run(["power", "--ring", "Z", "--lambda", "kapranov", "--order", "2",
+                "--series", series, "--exponent", "2"]) == (
+        2, "", f"error: exponent {exponent} of variable t exceeds the limit 2147483647\n"
+    )
+
+
+def test_parse_warnings_go_to_the_error_stream_of_main():
+    assert run(["power", "--order", "2", "--lambda", "kapranov", "--series", "1 + t + t^5",
+                "--exponent", "2"]) == (
+        0, "t^0: 1\nt^1: 2\nt^2: 1\n", "warning: degree-5 term discarded (order 2)\n"
+    )
+    assert run(["log", "--order", "1", "--lambda", "kapranov", "--series", "1 + 2*t + t^2147483647"]) == (
+        0, "t^1: 2\n", "warning: degree-2147483647 term discarded (order 1)\n"
+    )
+
+
 def test_log_names_the_overflow_of_the_lowest_degree():
     # peeling b_1 overflows t^2 (u^2^31), t^3 and t^4 at once; the error
     # names t^2's exponent, as the series product that checks degrees
@@ -582,7 +605,7 @@ NOT_COMPUTATION_ERRORS = {ArityError, UnboundVariableError, ParseError}
 
 
 def raising(error):
-    def command(args, out):
+    def command(args, out, err):
         raise error
     return command
 

@@ -151,6 +151,13 @@ FINITE_MODEL_REFUSALS = [
                  "k must be nonnegative", id="negative-power"),
     pytest.param(lambda: finite_series(FiniteMap.unit(), "gamma", 2), ValueError,
                  "unknown series kind 'gamma'", id="unknown-series"),
+    pytest.param(lambda: geometric_power_coefficient(FiniteMap.unit(), [FiniteMap.unit()], -1),
+                 ValueError, "k must be nonnegative", id="negative-coefficient-degree"),
+    # the size checks run before the order check, and before any count
+    pytest.param(lambda: finite_model.oracle_coefficients(3, [-1], -1), ValueError,
+                 "coefficient sizes must be nonnegative", id="oracle-negative-set"),
+    pytest.param(lambda: finite_model.oracle_coefficients(-1, [1], -1), ValueError,
+                 "m_size must be nonnegative, got -1", id="oracle-negative-exponent"),
 ]
 
 
@@ -170,6 +177,14 @@ def test_geometric_power_empty_exponent():
     assert geometric_power_coefficient(
         FiniteMap.constant(0, 1), [FiniteMap.constant(2)], 1
     ) == 0
+
+
+@pytest.mark.parametrize("m_size", [0, 3])
+def test_geometric_power_constant_term(m_size):
+    # t^0 has one configuration, every point at charge 0
+    assert geometric_power_coefficient(
+        FiniteMap.constant(m_size, 1), [FiniteMap.constant(2)], 0
+    ) == 1
 
 
 def test_geometric_power_linear_term():

@@ -6,8 +6,9 @@ import pytest
 
 import _reference
 from _gen import random_element
+from conftest import assert_refuses
 from powerstruct.parsing import ParseError, parse_polynomial, parse_ring, parse_series
-from powerstruct.rings import INTEGERS, Ring, SparsePolynomial
+from powerstruct.rings import INTEGERS, MAX_EXPONENT, DegreeOverflowError, Ring, SparsePolynomial
 from powerstruct.series import TruncatedSeries
 
 
@@ -91,6 +92,39 @@ def test_parse_series_truncation_warning():
     s = parse_series("1 + t^9", parse_ring("Z"), 3, diagnostics=diagnostics)
     assert s == TruncatedSeries.one(INTEGERS, 3)
     assert "discarded" in diagnostics.getvalue()
+    # one warning per discarded degree, in ascending order
+    diagnostics = io.StringIO()
+    ring = parse_ring("Z[u,v]")
+    s = parse_series("t^9 + 1 + u*t^7 - t^9*v + t^7 + u*t", ring, 3, diagnostics)
+    assert s == TruncatedSeries(ring, [1, ring.gen("u"), 0, 0])
+    assert diagnostics.getvalue() == (
+        "warning: degree-7 term discarded (order 3)\n"
+        "warning: degree-9 term discarded (order 3)\n"
+    )
+
+
+def test_t_has_the_degree_limit_of_every_variable():
+    # the top exponent still parses, and is discarded above the order
+    diagnostics = io.StringIO()
+    s = parse_series("1 + t + t^2147483647", INTEGERS, 2, diagnostics)
+    assert s == TruncatedSeries(INTEGERS, [1, 1, 0])
+    assert diagnostics.getvalue() == "warning: degree-2147483647 term discarded (order 2)\n"
+    for text, exponent in [("1 + t^2147483648", 2147483648),
+                           ("1 + t^3000000000", 2147483648),
+                           ("t^2000000000*t^2000000000", 4000000000)]:
+        for ring in [INTEGERS, parse_ring("Z[u,v]")]:
+            assert_refuses(
+                lambda: parse_series(text, ring, 2, io.StringIO()), DegreeOverflowError,
+                f"exponent {exponent} of variable t exceeds the limit {MAX_EXPONENT}",
+            )
+
+
+def test_t_is_reserved_in_a_ring_that_has_it():
+    # only the library can build such a ring; parse_ring refuses one
+    for ring in [Ring(("t",)), Ring(("u", "t"))]:
+        assert_refuses(lambda: parse_series("1 + t", ring, 2), ValueError, "'t' is reserved for series")
+        assert_refuses(lambda: parse_polynomial("t + 1", ring), ParseError,
+                       "'t' is reserved for series at offset 0")
 
 
 def test_format_parse_roundtrip_polynomials():
