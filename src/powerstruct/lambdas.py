@@ -32,6 +32,12 @@ to the lambda-structure.  Log and Exp take one route per ring:
   so Log and Exp each cost one triangular int convolution, about N^2/2
   multiply-adds, against sum_k N^2/k for the factor products.
 
+Power over Z is the ordinary power A^m for every lambda-structure: psi^r is
+linear over Z, so the ghost sums of A^m are m times those of A.  `power`
+takes them from A in one ghost pass, scales them and runs one Newton pass,
+about N^2 multiply-adds in all, with no Log, Exp or Adams terms; over
+Z[x...] it is Exp of m times Log.
+
 The closed-form integer power, a check by a separate route, is the binomial
 theorem (1 + X)^m = sum_s binom(m, s) * X^s with X = A - 1: at most N series
 products at order N, about N^3/6 multiply-adds over Z, and no Log or Exp.
@@ -111,6 +117,14 @@ def _factor(lam: LambdaStructure, b, k: int, order: int) -> TruncatedSeries:
     return lambda_series(lam, b, order // k).rescale(k, order=order)
 
 
+def _check_decomposable(A: TruncatedSeries, lam: LambdaStructure) -> None:
+    """A must be a unit series over the ring of the lambda-structure."""
+    if A.ring != lam.ring:
+        raise ValueError(f"series over {A.ring.name}, lambda over {lam.ring.name}")
+    if not A.is_unit():
+        raise NonUnitError("only series with constant term 1 decompose")
+
+
 def log_map(A: TruncatedSeries, lam: LambdaStructure) -> List:
     """Log, the inverse of exp_map: the b_1..b_N of the unique A = prod lambda_{b_i}(t^i).
 
@@ -121,10 +135,7 @@ def log_map(A: TruncatedSeries, lam: LambdaStructure) -> List:
     from degree k + 1 up; degree k cancels to 0.  Over Z it solves Newton's
     identities instead (`_int_log`), one int convolution in all.
     """
-    if A.ring != lam.ring:
-        raise ValueError(f"series over {A.ring.name}, lambda over {lam.ring.name}")
-    if not A.is_unit():
-        raise NonUnitError("only series with constant term 1 decompose")
+    _check_decomposable(A, lam)
     ring, order = A.ring, A.order
     if ring.is_integers:
         return _int_log(A.coefficients, _SIGN[lam.kind])
@@ -169,10 +180,18 @@ def exp_map(B: Sequence, lam: LambdaStructure, order: int) -> TruncatedSeries:
 
 
 def power(A: TruncatedSeries, m, lam: LambdaStructure) -> TruncatedSeries:
-    """(A(t))^m = prod_i lambda_{m*b_i}(t^i) where A = prod_i lambda_{b_i}(t^i)."""
+    """(A(t))^m = prod_i lambda_{m*b_i}(t^i) where A = prod_i lambda_{b_i}(t^i).
+
+    Over Z this is the ordinary power for every lambda-structure: psi^r is
+    linear, so the ghost sums of A^m are m times those of A, and one ghost
+    pass and one Newton pass give it, with no Log or Exp.
+    """
     m = lam.ring.coerce(m)
-    bs = log_map(A, lam)
-    return exp_map([m * b for b in bs], lam, A.order)
+    _check_decomposable(A, lam)
+    if A.ring.is_integers:
+        ghosts = _int_ghosts(A.coefficients)
+        return TruncatedSeries._raw(A.ring, _from_ghosts([m * s for s in ghosts]))
+    return exp_map([m * b for b in log_map(A, lam)], lam, A.order)
 
 
 # -- Log and Exp over Z by Newton's identities ------------------------------
@@ -208,16 +227,23 @@ def _int_exp(bs: Sequence[int], sign: int, order: int) -> List[int]:
     return _from_ghosts(ghosts)
 
 
+def _int_ghosts(a: Sequence[int]) -> List[int]:
+    """The ghost sums of the unit series A over Z, t*A'/A = sum_n s_n*t^n:
+    s_n = n*a_n - sum_{k<n} s_k*a_{n-k}, with s_0 = 0."""
+    ghosts = [0] * len(a)
+    for n in range(1, len(a)):
+        ghosts[n] = n * a[n] - sum(map(mul, ghosts[1:n], a[n - 1 : 0 : -1]))
+    return ghosts
+
+
 def _int_log(a: Sequence[int], sign: int) -> List[int]:
-    """Log over Z: the ghost sums s_n = n*a_n - sum_{k<n} s_k*a_{n-k} of A, then
+    """Log over Z: the ghost sums s_n of A, then
     n*b_n = s_n - sum_{i | n, i < n} i*psi^(n/i)(b_i), an exact division by n."""
-    order = len(a) - 1
-    ghosts = [0] * (order + 1)
-    adams = [0] * (order + 1)  # the Adams terms of the b_i found so far
+    ghosts = _int_ghosts(a)
+    adams = [0] * len(a)  # the Adams terms of the b_i found so far
     bs: List[int] = []
-    for n in range(1, order + 1):
-        s = ghosts[n] = n * a[n] - sum(map(mul, ghosts[1:n], a[n - 1 : 0 : -1]))
-        b = exact_quotient(s - adams[n], n)
+    for n in range(1, len(a)):
+        b = exact_quotient(ghosts[n] - adams[n], n)
         bs.append(b)
         if b:
             _add_adams_terms(adams, n, b, sign)

@@ -4,7 +4,8 @@ One recursive descent over the token list parses and evaluates at once
 with the ring's own operators; a series is a polynomial in the ring with
 't' appended, split by its degree in t.  Errors come in a fixed order: an
 unknown character first, then the first syntax error, then the first name
-outside the ring (or 't' outside a series), each at its byte offset.
+outside the ring (or 't' outside a series), each at its byte offset, then
+the first exponent over the degree limit (DegreeOverflowError).
 
 Grammar (whitespace-insensitive; offsets in error messages are byte offsets):
 
@@ -23,7 +24,7 @@ import re
 import sys
 from typing import List, Optional, Tuple
 
-from .rings import Ring, UnboundVariableError
+from .rings import DegreeOverflowError, Ring, UnboundVariableError
 from .series import TruncatedSeries, _check_order
 
 
@@ -67,11 +68,14 @@ def _evaluate(tokens: List[Tuple[str, str, int]], ring: Ring,
 
     Outside a series 't' is refused.  A name outside the ring, or 't'
     outside a series, is kept until the whole text has parsed, so any
-    syntax error is raised first.
+    syntax error is raised first; an exponent over the degree limit, from a
+    power or a product, is kept the same way and raised after the names.
+    Each kept error's subexpression evaluates to zero.
     """
     target = series_ring or ring
     pos = 0
     name_errors: List[ParseError] = []
+    overflows: List[DegreeOverflowError] = []
 
     def take(ops: str) -> Optional[str]:
         """Consume the next token if it is one of the operators in `ops`."""
@@ -93,7 +97,12 @@ def _evaluate(tokens: List[Tuple[str, str, int]], ring: Ring,
     def term():
         out = factor()
         while take("*"):
-            out = out * factor()
+            right = factor()
+            try:
+                out = out * right
+            except DegreeOverflowError as error:
+                overflows.append(error)
+                out = target.zero
         return out
 
     def factor():
@@ -119,6 +128,9 @@ def _evaluate(tokens: List[Tuple[str, str, int]], ring: Ring,
                 message = f"variable {value!r} is not in the ring {ring.name}"
                 name_errors.append(ParseError(message, offset))
                 return target.zero
+            except DegreeOverflowError as error:
+                overflows.append(error)
+                return target.zero
         if kind == "op" and value == "(":
             out = expr()
             if not take(")"):
@@ -130,8 +142,8 @@ def _evaluate(tokens: List[Tuple[str, str, int]], ring: Ring,
     kind, value, offset = tokens[pos]
     if kind != "end":
         raise ParseError(f"unexpected {value!r}", offset)
-    if name_errors:
-        raise name_errors[0]
+    if name_errors or overflows:
+        raise (name_errors or overflows)[0]
     return out
 
 

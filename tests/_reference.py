@@ -9,6 +9,7 @@ of nonzero coefficients), the dense inverse, the generic lambda factor
 branch per lambda kind), the factor-by-factor Log/Exp that build every
 factor lambda_b(t^k) to the full order N before rescaling and invert it for
 Log, the Log/Exp that take one series product per lambda factor, the
+integer power over Z as Log, a scaling of each b_i and Exp, the
 punctual Hilbert series as a product of inverted binomials, the brute-force
 orbit count that visits every element of every orbit, the orderly orbit
 enumeration that visits one representative per orbit (the library now
@@ -20,8 +21,9 @@ again to evaluate it, and the closed-form integer power summed one charge
 profile at a time.  They are kept only so tests can compare the fast routes
 against them.  They share no lambda code with the library but
 charge_profiles and generalized_binomial, except the series-product Log/Exp,
-which multiply the library's own lambda factors with `convolve_mul`; the
-parser shares only the tokenizer.
+which multiply the library's own lambda factors with `convolve_mul`, and the
+Log-Exp power, which composes the library's own Log and Exp; the parser
+shares only the tokenizer.
 """
 
 import itertools
@@ -37,7 +39,9 @@ from powerstruct.lambdas import (
     _check_domain,
     _factor,
     charge_profiles,
+    exp_map,
     generalized_binomial,
+    log_map,
 )
 from powerstruct.parsing import ParseError, _tokenize
 from powerstruct.rings import (
@@ -379,6 +383,14 @@ def series_product_power(A: TruncatedSeries, m, lam: LambdaStructure) -> Truncat
     m = lam.ring.coerce(m)
     bs = series_product_decompose(A, lam)
     return series_product_exp([m * b for b in bs], lam, A.order)
+
+
+def log_exp_integer_power(A: TruncatedSeries, m, lam: LambdaStructure) -> TruncatedSeries:
+    """The power as the library once took it over Z: the library's own Log,
+    each b_i times m, and its own Exp, two Newton passes and the Adams loops."""
+    m = lam.ring.coerce(m)
+    bs = log_map(A, lam)
+    return exp_map([m * b for b in bs], lam, A.order)
 
 
 def hand_rolled_hilb_local_surface(order: int) -> TruncatedSeries:

@@ -270,6 +270,15 @@ def test_a_t_exponent_over_the_limit_exits_2(series, exponent):
     )
 
 
+@pytest.mark.parametrize("series, message", [
+    ("1 + u^3000000000*t + + 1", "unexpected '+' at offset 21"),
+    ("1 + u^3000000000*t + w", "variable 'w' is not in the ring Z[u] at offset 21"),
+])
+def test_a_usage_error_wins_over_an_earlier_exponent_over_the_limit(series, message):
+    assert run(["power", "--ring", "Z[u]", "--lambda", "poly-product", "--order", "2",
+                "--series", series, "--exponent", "2"]) == (1, "", f"error: {message}\n")
+
+
 def test_parse_warnings_go_to_the_error_stream_of_main():
     assert run(["power", "--order", "2", "--lambda", "kapranov", "--series", "1 + t + t^5",
                 "--exponent", "2"]) == (

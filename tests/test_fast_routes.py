@@ -1,8 +1,9 @@
 """The packed-key polynomial arithmetic, the fused series product, the sparse
 series inverse, the direct lambda factors, the lambda series of order <= 1,
 the signed-product lambda series, the short-factor Log/Exp, the Newton-identity
-Log/Exp over Z and the prefix-grouped integer power formula equal the slow
-reference routes of tests/_reference.py exactly."""
+Log/Exp over Z, the power over Z by scaled ghost sums and the prefix-grouped
+integer power formula equal the slow reference routes of tests/_reference.py
+exactly."""
 
 import random
 
@@ -23,13 +24,15 @@ from powerstruct.lambdas import (
 from powerstruct.rings import (
     INTEGERS,
     MAX_EXPONENT,
+    ArityError,
     DegreeOverflowError,
     InexactDivisionError,
     Ring,
     SparsePolynomial,
 )
-from powerstruct.series import TruncatedSeries
+from powerstruct.series import NonUnitError, TruncatedSeries
 
+from conftest import assert_refuses
 from _gen import (
     random_element,
     random_series,
@@ -45,6 +48,7 @@ from _reference import (
     full_order_exp,
     full_order_power,
     generic_one_minus_xt_power,
+    log_exp_integer_power,
     per_kind_lambda_series,
     profile_by_profile_integer_power,
     sparse_mul,
@@ -261,6 +265,78 @@ def test_a_ghost_sum_not_divisible_by_n_raises():
     with pytest.raises(InexactDivisionError, match="1 / 2 leaves the remainder 1"):
         lambdas._from_ghosts([0, 1, 0])
     assert lambdas._from_ghosts([0, 1, 1]) == [1, 1, 1]  # (1 - t)^-1
+
+
+def ghost_power_bases(rng, order):
+    """A dense unit series, a sparse one, a single term c*t^k, and one with
+    coefficients of up to 80 bits."""
+    single = [1] + [0] * order
+    if order:
+        single[rng.randint(1, order)] = rng.choice([-5, -1, 1, 4])
+    return [
+        random_unit_series(rng, INTEGERS, order),
+        sparse_unit_series(rng, INTEGERS, order, nonzero_p=0.15),
+        TruncatedSeries(INTEGERS, single),
+        TruncatedSeries(INTEGERS, [1] + [rng.randint(-2**80, 2**80) for _ in range(order)]),
+    ]
+
+
+@pytest.mark.parametrize("kind", LAMBDA_KINDS)
+def test_power_over_z_equals_the_log_exp_route_and_int_pow(kind):
+    # every exponent in -12..12 at every order 0..64, each base in turn
+    rng = random.Random(f"ghost power {kind}")
+    lam = LambdaStructure(kind, INTEGERS)
+    for order in range(65):
+        bases = ghost_power_bases(rng, order)
+        for m in range(-12, 13):
+            A = bases[(order + m) % len(bases)]
+            got = power(A, m, lam)
+            assert got == log_exp_integer_power(A, m, lam) == A.int_pow(m), (kind, order, m, A)
+
+
+def test_power_over_z_runs_no_log_or_exp(monkeypatch):
+    class Called(Exception):
+        pass
+
+    def refuse(*args):
+        raise Called
+
+    monkeypatch.setattr(lambdas, "log_map", refuse)
+    monkeypatch.setattr(lambdas, "exp_map", refuse)
+    A = TruncatedSeries(INTEGERS, [1, 2, -1, 3, 0, 5])
+    for kind in LAMBDA_KINDS:
+        for m in (-3, 0, 1, 4):
+            assert power(A, m, LambdaStructure(kind, INTEGERS)) == A.int_pow(m)
+    # the patch is seen: over Z[u,v] power still takes Log and Exp
+    with pytest.raises(Called):
+        power(TruncatedSeries(UV, [1, UV.gen("u")]), 2, LambdaStructure("poly-product", UV))
+
+
+def test_power_over_z_raises_as_the_log_exp_route_does():
+    u = UV.gen("u")
+    unit = TruncatedSeries(INTEGERS, [1, 2, 3])
+    non_unit = TruncatedSeries(INTEGERS, [2, 1, 0])
+    non_unit_error = NonUnitError, "only series with constant term 1 decompose"
+    mismatch = ValueError, "series over Z[u,v], lambda over Z"
+    not_in_z = ArityError, f"{u!r} is not an element of Z"
+    no_bool = TypeError, "bool is not a ring element"
+    # the exponent is checked first, then the ring, then the constant term
+    cases = [
+        (non_unit, 3, non_unit_error),
+        (TruncatedSeries(INTEGERS, [0, 1]), -1, non_unit_error),
+        (TruncatedSeries(UV, [1, u]), 3, mismatch),
+        (TruncatedSeries(UV, [2, u]), 3, mismatch),
+        (unit, u, not_in_z),
+        (non_unit, u, not_in_z),
+        (unit, True, no_bool),
+        (unit, False, no_bool),
+        (TruncatedSeries(UV, [2, u]), True, no_bool),
+    ]
+    for kind in LAMBDA_KINDS:
+        lam = LambdaStructure(kind, INTEGERS)
+        for A, m, (error, message) in cases:
+            assert_refuses(lambda: power(A, m, lam), error, message)
+            assert_refuses(lambda: log_exp_integer_power(A, m, lam), error, message)
 
 
 def formula_bases(rng, ring, order):

@@ -119,6 +119,26 @@ def test_t_has_the_degree_limit_of_every_variable():
             )
 
 
+def test_an_exponent_over_the_limit_comes_after_syntax_and_name_errors():
+    u = Ring(("u",))
+    assert_refuses(lambda: parse_polynomial("u^3000000000 + + 1", u), ParseError,
+                   "unexpected '+' at offset 15")
+    assert_refuses(lambda: parse_polynomial("u^3000000000 + w", u), ParseError,
+                   "variable 'w' is not in the ring Z[u] at offset 15")
+    # a product over the limit, then a syntax error
+    assert_refuses(lambda: parse_polynomial("u^2000000000*u^2000000000 + + 1", u), ParseError,
+                   "unexpected '+' at offset 28")
+    assert_refuses(lambda: parse_series("1 + t^3000000000 + (", INTEGERS, 2, io.StringIO()),
+                   ParseError, "unexpected end of input at offset 20")
+    # the overflow alone, and the first of two, raises as it did
+    for text, exponent in [("u^3000000000", 2147483648),
+                           ("1 + u^2000000000*u^2000000000", 4000000000),
+                           ("(u^2000000000*u^2000000000)*u^3000000000", 4000000000),
+                           ("u^3000000000*(1 + u^2000000000*u^2000000000)", 2147483648)]:
+        assert_refuses(lambda: parse_polynomial(text, u), DegreeOverflowError,
+                       f"exponent {exponent} of variable u exceeds the limit {MAX_EXPONENT}")
+
+
 def test_t_is_reserved_in_a_ring_that_has_it():
     # only the library can build such a ring; parse_ring refuses one
     for ring in [Ring(("t",)), Ring(("u", "t"))]:
