@@ -16,16 +16,22 @@ each b_i by a ring element m and recombining is the power structure attached
 to the lambda-structure.  Log and Exp take one route per ring:
 
 - Over Z[x...] Exp multiplies the factors lambda_{b_k}(t^k) into one list
-  of packed term maps in place (Ring.multiply_into, the kernel of every
-  product over Z[x...]), and Log peels A the same way, degree by degree,
-  multiplying the residual by
+  of packed term maps in place, and Log peels A the same way, degree by
+  degree, multiplying the residual by
   lambda_{-b_k}(t^k) = lambda_{b_k}(t^k)^{-1}, so it takes no series
-  inverse.  A factor is passed as the series it is; the kernel skips its
-  zero coefficients, so a step multiplies only the terms at t^k, t^2k, ...
-  and rebuilds only the degrees it changes; a coefficient becomes a
-  polynomial once, when it is handed out.  The factors (1 - x*t^k)^{+-p}
-  stay short, where a ghost sum would convolve every Adams term with the
-  full dense result.
+  inverse.  A term p*x of b_k is the factor (1 - sigma*x*t^k)^{-sigma*p}:
+  |p| two-term steps (Ring.step_into), each one pass over the terms from
+  degree k up, with no convolution.  The cost rule: a term takes steps when
+  |p| = 1 or 2k*|p| <= N - k; the other terms of b_k form one factor,
+  built as a series and multiplied by the kernel of every product
+  (Ring.multiply_into), which skips its zero coefficients; when 2k > N the
+  whole factor is 1 + b_k*t^k and goes that way.  Steps check no degree,
+  so the degrees a factor can reach are bounded before its first step
+  (Ring.steps_fit); a factor that could pass MAX_EXPONENT goes the series
+  way, which raises DegreeOverflowError as a series product does.  A
+  coefficient becomes a polynomial once, when it is handed out.  The
+  factors stay short, where a ghost sum would convolve every Adams term
+  with the full dense result.
 - Over Z they run Newton's identities on int lists.  With t*A'/A =
   sum_n s_n t^n and the Adams operations psi^r(b) = sigma^(r+1)*b, the ghost
   sums are s_n = sum_{i | n} i*psi^(n/i)(b_i) and n*a_n = sum_{k<=n} s_k*a_{n-k},
@@ -117,6 +123,37 @@ def _factor(lam: LambdaStructure, b, k: int, order: int) -> TruncatedSeries:
     return lambda_series(lam, b, order // k).rescale(k, order=order)
 
 
+def _multiply_factor_into(lam: LambdaStructure, sums: List[Dict[int, int]], b, k: int,
+                          low: int) -> None:
+    """Multiply the series of packed term maps `sums` in place by
+    lambda_b(t^k): the terms of b that the cost rule picks by steps, the
+    others as one series factor, first.  A factor that takes no step is
+    multiplied from degree `low` up; steps run from degree k up, and so
+    does the series factor before them, since a step reads the value it
+    leaves at degree k."""
+    ring, order = lam.ring, len(sums) - 1
+    _check_domain(lam, b)
+    (terms,) = ring.term_maps((b,))
+    stepped = {}
+    if 2 * k <= order:
+        stepped = {key: p for key, p in terms.items()
+                   if p in (1, -1) or 2 * k * abs(p) <= order - k}
+        if stepped and not ring.steps_fit(sums, terms, order // k):
+            stepped = {}
+    if len(stepped) < len(terms):
+        rest = b if not stepped else ring.from_term_map(
+            {key: p for key, p in terms.items() if key not in stepped})
+        ring.multiply_into(sums, _factor(lam, rest, k, order).coefficients,
+                           k if stepped else low)
+    sign = _SIGN[lam.kind]
+    for key, p in stepped.items():
+        # (1 - sigma*x*t^k)^(-sigma*p): |p| steps with c the sign of p, each
+        # a division by 1 - c*x*t^k when sigma*p > 0, else a product by 1 + c*x*t^k
+        c = 1 if p > 0 else -1
+        for _ in range(abs(p)):
+            ring.step_into(sums, key, c, k, sign * p > 0)
+
+
 def _check_decomposable(A: TruncatedSeries, lam: LambdaStructure) -> None:
     """A must be a unit series over the ring of the lambda-structure."""
     if A.ring != lam.ring:
@@ -132,8 +169,9 @@ def log_map(A: TruncatedSeries, lam: LambdaStructure) -> List:
     prod_{i<k} lambda_{-b_i}(t^i), the inverse of prod_{i<k} lambda_{b_i}(t^i),
     the residual is 1 + b_k t^k + O(t^{k+1}).  The residual is a list of
     packed term maps, a copy of A's, that each factor multiplies in place
-    from degree k + 1 up; degree k cancels to 0.  Over Z it solves Newton's
-    identities instead (`_int_log`), one int convolution in all.
+    from degree k + 1 up, or from degree k when it takes steps; degree k
+    cancels to 0.  Over Z it solves Newton's identities instead
+    (`_int_log`), one int convolution in all.
     """
     _check_decomposable(A, lam)
     ring, order = A.ring, A.order
@@ -147,9 +185,8 @@ def log_map(A: TruncatedSeries, lam: LambdaStructure) -> List:
         bs.append(b_k)
         if b_k:
             _check_domain(lam, b_k)  # before negating, so the error names b_k
-            factor = _factor(lam, -b_k, k, order)
             # lambda_{-b_k}(t^k) = 1 - b_k t^k + ... cancels degree k exactly
-            ring.multiply_into(residual, factor.coefficients, k + 1)
+            _multiply_factor_into(lam, residual, -b_k, k, k + 1)
             residual[k] = {}  # b_k keeps its own map
     return bs
 
@@ -158,7 +195,8 @@ def exp_map(B: Sequence, lam: LambdaStructure, order: int) -> TruncatedSeries:
     """Exp(b_1 t + b_2 t^2 + ...) = prod_k lambda_{b_k}(t^k), truncated at `order`.
 
     Over Z[x...] this multiplies the factors lambda_{b_k}(t^k) into one list
-    of packed term maps in place, each from degree k up, and makes the
+    of packed term maps in place, each from degree k up (by steps or as a
+    series, see the module docstring), and makes the
     polynomials at the end; over Z it solves Newton's identities instead
     (`_int_exp`), one int convolution in all.
     """
@@ -174,8 +212,7 @@ def exp_map(B: Sequence, lam: LambdaStructure, order: int) -> TruncatedSeries:
         b = ring.coerce(b)
         if not b:
             continue
-        factor = _factor(lam, b, k, order)
-        ring.multiply_into(result, factor.coefficients, k)
+        _multiply_factor_into(lam, result, b, k, k)
     return TruncatedSeries._raw(ring, [ring.from_term_map(c) for c in result])
 
 

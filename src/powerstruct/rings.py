@@ -9,18 +9,22 @@ homomorphism by mapping every variable to an element of the target ring.
 Every product over Z[x1,...,xr] (of two polynomials, of two series, or of
 a series and a lambda factor) runs one kernel, `_multiply_into`, which adds
 term pairs into packed-key maps and checks their degrees once, before zero
-coefficients are dropped.
+coefficients are dropped.  The one exception is the two-term factor
+1 - c*x*t^k of a series and its inverse: `_step_into` multiplies or divides
+by it with one pass over the terms from degree k up, and checks no degree;
+its caller first bounds every degree it can reach (Ring.steps_fit).
 
-All values are immutable after construction and every operation but one is
+All values are immutable after construction and every operation but two is
 a pure function, so everything here is safe for unrestricted concurrent
-reads; Ring.multiply_into changes only the list of term maps that its
-caller passes in, never a map.
+reads; Ring.multiply_into and Ring.step_into change only the list of term
+maps that their caller passes in, never a map.
 """
 
 from __future__ import annotations
 
 from collections.abc import Mapping
 from functools import lru_cache, reduce
+from itertools import chain
 from operator import or_
 from types import MappingProxyType
 from typing import Dict, Iterable, Iterator, List, Sequence, Tuple
@@ -154,6 +158,29 @@ def _multiply_into(variables: Tuple[str, ...], sums: List[Dict[int, int]],
         _check_degrees(variables, acc)
         if 0 in acc.values():
             sums[d] = {e: c for e, c in acc.items() if c}
+
+
+def _step_into(sums: List[Dict[int, int]], key: int, c: int, k: int,
+               ascending: bool) -> None:
+    """c_d += c*x*c_{d-k} for the degrees d = k..N, in place, for the series
+    whose coefficient d has the packed terms sums[d] and the monomial x with
+    the packed key `key`.  In ascending degree every source c_{d-k} already
+    holds its new value, which divides the series by 1 - c*x*t^k; in
+    descending degree it still holds its old one, which multiplies it by
+    1 + c*x*t^k.  A rebuilt degree gets a new map with its zero coefficients
+    dropped, so no map in `sums` is ever changed.  No degree is checked: the
+    caller bounds them first (Ring.steps_fit).
+    """
+    n = len(sums)
+    for d in range(k, n) if ascending else range(n - 1, k - 1, -1):
+        source = sums[d - k]
+        if source:
+            acc = dict(sums[d])
+            get = acc.get
+            for e, v in source.items():
+                e += key
+                acc[e] = get(e, 0) + c * v
+            sums[d] = {e: v for e, v in acc.items() if v} if 0 in acc.values() else acc
 
 
 def exact_quotient(n: int, d: int) -> int:
@@ -479,6 +506,30 @@ class Ring(Immutable):
         series factor[0] + factor[1]*t + ..., for the degrees `low`..N: the
         kernel `_multiply_into` over this ring's variables."""
         _multiply_into(self.variables, sums, factor, low)
+
+    def step_into(self, sums: List[Dict[int, int]], key: int, c: int, k: int,
+                  ascending: bool) -> None:
+        """Divide the series of packed term maps `sums` in place by
+        1 - c*x*t^k (ascending) or multiply it by 1 + c*x*t^k, for the
+        monomial x with the packed key `key`: the kernel `_step_into`.  The
+        caller must first bound the degrees with steps_fit."""
+        _step_into(sums, key, c, k, ascending)
+
+    def steps_fit(self, sums: Sequence[Dict[int, int]], terms: Dict[int, int],
+                  times: int) -> bool:
+        """Whether every product of a term of `sums` and `times` terms of the
+        packed term map `terms` keeps each exponent within MAX_EXPONENT.
+        Judged per variable from the bit length of the OR of its exponents:
+        (2^bits - 1) bounds the largest, so a True needs no degree check."""
+        top = reduce(or_, chain.from_iterable(sums), 0)
+        step = reduce(or_, terms, 0)
+        for i in range(len(self.variables)):
+            shift = SLOT_BITS * i
+            held = (1 << ((top >> shift) & _SLOT_MASK).bit_length()) - 1
+            added = (1 << ((step >> shift) & _SLOT_MASK).bit_length()) - 1
+            if held + times * added > MAX_EXPONENT:
+                return False
+        return True
 
     def coerce(self, x):
         """Accept ints always; polynomials only from this exact ring."""

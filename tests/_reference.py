@@ -9,7 +9,8 @@ of nonzero coefficients), the dense inverse, the generic lambda factor
 branch per lambda kind), the factor-by-factor Log/Exp that build every
 factor lambda_b(t^k) to the full order N before rescaling and invert it for
 Log, the Log/Exp that take one series product per lambda factor, the
-integer power over Z as Log, a scaling of each b_i and Exp, the
+Log/Exp over Z[x...] that multiply each whole lambda factor in place with
+no two-term step, the integer power over Z as Log, a scaling of each b_i and Exp, the
 punctual Hilbert series as a product of inverted binomials, the brute-force
 orbit count that visits every element of every orbit, the orderly orbit
 enumeration that visits one representative per orbit (the library now
@@ -21,7 +22,8 @@ again to evaluate it, and the closed-form integer power summed one charge
 profile at a time.  They are kept only so tests can compare the fast routes
 against them.  They share no lambda code with the library but
 charge_profiles and generalized_binomial, except the series-product Log/Exp,
-which multiply the library's own lambda factors with `convolve_mul`, and the
+which multiply the library's own lambda factors with `convolve_mul`, the
+factor Log/Exp, which multiply them with the library's own kernel, and the
 Log-Exp power, which composes the library's own Log and Exp; the parser
 shares only the tokenizer.
 """
@@ -383,6 +385,45 @@ def series_product_power(A: TruncatedSeries, m, lam: LambdaStructure) -> Truncat
     m = lam.ring.coerce(m)
     bs = series_product_decompose(A, lam)
     return series_product_exp([m * b for b in bs], lam, A.order)
+
+
+def factor_log(A: TruncatedSeries, lam: LambdaStructure) -> List:
+    """Log over Z[x...] as the library took it before its two-term steps: the
+    residual peeled in place by one `Ring.multiply_into` per factor
+    lambda_{-b_k}(t^k), each built whole as a series, from degree k + 1 up."""
+    if A.ring != lam.ring:
+        raise ValueError(f"series over {A.ring.name}, lambda over {lam.ring.name}")
+    if not A.is_unit():
+        raise NonUnitError("only series with constant term 1 decompose")
+    ring, order = A.ring, A.order
+    residual = [dict(c) for c in ring.term_maps(A.coefficients)]
+    bs: List = []
+    for k in range(1, order + 1):
+        b_k = ring.from_term_map(residual[k])
+        bs.append(b_k)
+        if b_k:
+            _check_domain(lam, b_k)  # before negating, so the error names b_k
+            ring.multiply_into(residual, _factor(lam, -b_k, k, order).coefficients, k + 1)
+            residual[k] = {}  # b_k keeps its own map
+    return bs
+
+
+def factor_exp(B: Sequence, lam: LambdaStructure, order: int) -> TruncatedSeries:
+    """Exp over Z[x...] by one `Ring.multiply_into` per factor lambda_{b_k}(t^k),
+    each built whole as a series, from degree k up."""
+    _check_order(order)
+    ring = lam.ring
+    result = [dict(c) for c in ring.term_maps(TruncatedSeries.one(ring, order).coefficients)]
+    for k, b in enumerate(B[:order], start=1):
+        b = ring.coerce(b)
+        if b:
+            ring.multiply_into(result, _factor(lam, b, k, order).coefficients, k)
+    return TruncatedSeries(ring, [ring.from_term_map(c) for c in result])
+
+
+def factor_power(A: TruncatedSeries, m, lam: LambdaStructure) -> TruncatedSeries:
+    m = lam.ring.coerce(m)
+    return factor_exp([m * b for b in factor_log(A, lam)], lam, A.order)
 
 
 def log_exp_integer_power(A: TruncatedSeries, m, lam: LambdaStructure) -> TruncatedSeries:

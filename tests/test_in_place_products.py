@@ -1,14 +1,15 @@
 """Log, Exp and power over Z[x...] multiply the lambda factors into one list of
-packed term maps in place (Ring.multiply_into).  They equal the
-series-product and full-order references, raise the same errors near the
-degree limit, hand out no shared term map and run no series product where no
-factor needs one."""
+packed term maps in place, by two-term steps (Ring.step_into) or as series
+(Ring.multiply_into).  They equal the whole-factor, series-product and
+full-order references, take the route the cost rule and the degree bound
+pick, raise the same errors near the degree limit, hand out no shared term
+map and run no series product where no factor needs one."""
 
 import random
 
 import pytest
 
-from powerstruct import rings, series
+from powerstruct import lambdas, rings, series
 from powerstruct.lambdas import (
     LAMBDA_KINDS,
     LambdaStructure,
@@ -31,6 +32,9 @@ from powerstruct.series import TruncatedSeries
 
 from _gen import random_element, sparse_element, sparse_unit_series
 from _reference import (
+    factor_exp,
+    factor_log,
+    factor_power,
     full_order_decompose,
     full_order_exp,
     full_order_power,
@@ -41,8 +45,9 @@ from _reference import (
 
 U = Ring(("u",))
 UV = Ring(("u", "v"))
+ABC = Ring(("a", "b", "c"))
 # each ring with the highest order of the grid
-GRID = [(U, 32), (UV, 32), (Ring(("a", "b", "c")), 16)]
+GRID = [(U, 32), (UV, 32), (ABC, 16)]
 # a dense Log over Z[u,v] by the full-order reference takes seconds from about here
 FULL_ORDER_LOG_LIMIT = 10
 
@@ -145,6 +150,124 @@ def test_zeta_and_hilbert_series_equal_the_series_product_route():
             e = parse_polynomial(text, HODGE_RING)
             assert hodge_zeta(e, order) == series_product_power(geometric, e, lam)
             assert hilb_surface(e, order) == series_product_power(specialized, e, lam)
+
+
+# -- two-term steps against whole factors ------------------------------------------
+
+# |p| of a term: steps take |p| = 1 always and |p| <= (N - k) / 2k, so 24 is
+# past the cost rule at every order up to 32, and the rest are grouped at low orders
+MULTIPLICITIES = [1, 1, 1, 2, 3, 5, 9, 16, 24]
+STEP_GRID_ORDERS = list(range(13)) + [16, 20, 24, 32]
+
+
+def stepped_coefficient(rng, ring, constant):
+    """Zero about 60% of the time; else an integer, or 1-2 terms of degree at
+    most 1 per variable where the lambda kind takes them, each |p| drawn
+    from MULTIPLICITIES."""
+    if rng.random() < 0.6:
+        return ring.zero
+    if constant:
+        return ring.from_int(rng.choice([-1, 1]) * rng.choice(MULTIPLICITIES))
+    terms = {tuple(rng.randint(0, 1) for _ in ring.variables): rng.choice([-1, 1]) * rng.choice(MULTIPLICITIES)
+             for _ in range(rng.randint(1, 2))}
+    return SparsePolynomial(ring.variables, terms)
+
+
+@pytest.mark.parametrize("kind", LAMBDA_KINDS)
+@pytest.mark.parametrize("ring", [U, UV, ABC], ids=lambda r: r.name)
+def test_steps_and_grouped_factors_equal_the_whole_factor_route(kind, ring):
+    lam = LambdaStructure(kind, ring)
+    constant = constants_only(kind)
+    rng = random.Random(f"steps {kind} {ring.name}")
+    for order in STEP_GRID_ORDERS:
+        B = [stepped_coefficient(rng, ring, constant) for _ in range(order)]
+        A = exp_map(B, lam, order)
+        assert A == factor_exp(B, lam, order)
+        assert log_map(A, lam) == factor_log(A, lam) == B
+        other = unit_series(rng, ring, min(order, 12), constant)
+        assert log_map(other, lam) == factor_log(other, lam)
+        for m in exponents(rng, ring, constant)[1:]:
+            assert power(A, m, lam) == factor_power(A, m, lam)
+            assert power(other, m, lam) == factor_power(other, m, lam)
+
+
+@pytest.fixture
+def routes(monkeypatch):
+    """The route each factor takes: "step" per two-term step, and
+    "lambda_series" then "rescale" per factor built as a series."""
+    taken = []
+    step, lambda_series, rescale = rings._step_into, lambdas.lambda_series, TruncatedSeries.rescale
+
+    def noting(name, call):
+        def noted(*args, **kwargs):
+            taken.append(name)
+            return call(*args, **kwargs)
+        return noted
+
+    monkeypatch.setattr(rings, "_step_into", noting("step", step))
+    monkeypatch.setattr(lambdas, "lambda_series", noting("lambda_series", lambda_series))
+    monkeypatch.setattr(TruncatedSeries, "rescale", noting("rescale", rescale))
+    return taken
+
+
+def test_the_hilbert_series_of_a_k3_takes_steps(routes):
+    e = parse_polynomial("1 + u^2 + v^2 + 20*u*v + u^2*v^2", HODGE_RING)
+    H = hilb_surface(e, 16)
+    assert "step" in routes and "lambda_series" in routes
+    assert H == series_product_power(specialize_series(hilb_local_surface(16), "hodge_from_L"), e,
+                                     LambdaStructure("poly-product", HODGE_RING))
+
+
+@pytest.mark.parametrize("kind", ["poly-product", "opposite"])
+def test_a_factor_with_2k_past_the_order_is_one_series_factor(kind, routes):
+    lam = LambdaStructure(kind, UV)
+    u, v = UV.gen("u"), UV.gen("v")
+    B = [UV.zero, UV.zero, u - v]  # 1 + (u - v) t^3 at order 5
+    A = exp_map(B, lam, 5)
+    assert routes == ["lambda_series", "rescale"]
+    assert A == factor_exp(B, lam, 5)
+
+
+# an exponent of 2^(b-1) .. 2^b - 1 counts as 2^b - 1 in the degree bound
+INSIDE, OUTSIDE = (1 << 29) - 1, 1 << 29
+
+
+@pytest.mark.parametrize("ring", [U, UV], ids=lambda r: r.name)
+@pytest.mark.parametrize("kind", ["poly-product", "opposite"])
+def test_exp_steps_just_inside_the_degree_bound_and_raises_as_the_reference_just_outside(kind, ring, routes):
+    lam = LambdaStructure(kind, ring)
+    n, sigma = len(ring.variables), lambdas._SIGN[kind]
+    # b_1 = sigma*x, lambda_{b_1}(t) = 1/(1 - x t) at order 4: steps reach
+    # x^4, and 4*(2^29 - 1) < 2^31 = MAX_EXPONENT + 1
+    inside = [ring.monomial((INSIDE,) + (1,) * (n - 1), sigma)]
+    A = exp_map(inside, lam, 4)
+    assert routes == ["step"]
+    assert A == factor_exp(inside, lam, 4) == series_product_exp(inside, lam, 4)
+    del routes[:]
+    outside = [ring.monomial((OUTSIDE,) + (1,) * (n - 1), sigma)]
+    message = f"exponent {MAX_EXPONENT + 1} of variable u exceeds the limit {MAX_EXPONENT}"
+    assert outcome(lambda: factor_exp(outside, lam, 4)) == (DegreeOverflowError, message)
+    del routes[:]
+    assert outcome(lambda: exp_map(outside, lam, 4)) == (DegreeOverflowError, message)
+    assert routes == ["lambda_series"]  # no step: the series route raised
+    del routes[:]
+    assert exp_map(outside, lam, 3) == factor_exp(outside, lam, 3)  # outside, but no overflow
+    assert "step" not in routes
+
+
+@pytest.mark.parametrize("kind", ["poly-product", "opposite"])
+def test_log_steps_only_where_the_residual_and_the_factor_fit_the_bound(kind, routes):
+    lam = LambdaStructure(kind, UV)
+    # A = lambda_{sigma*x}(t) = 1/(1 - x t) at order 4 holds u^(4a), and the
+    # peel of b_1 = sigma*x adds up to u^(4a) more.  For a = 2^28 - 1 the
+    # bound counts them as 2^30 - 1 and 4*(2^28 - 1); for a = 2^28 as
+    # 2^31 - 1 and 4*(2^29 - 1), which is past MAX_EXPONENT.
+    for a, stepped in [((1 << 28) - 1, True), (1 << 28, False)]:
+        x = UV.monomial((a, 3), lambdas._SIGN[kind])
+        A = factor_exp([x], lam, 4)
+        del routes[:]
+        assert log_map(A, lam) == factor_log(A, lam) == [x, UV.zero, UV.zero, UV.zero]
+        assert ("step" in routes) == stepped
 
 
 # -- the degree limit ------------------------------------------------------------
