@@ -59,8 +59,10 @@ from typing import Dict, Iterable, Iterator, List, Sequence
 from .rings import ComputationError, Immutable, Ring, exact_quotient
 from .series import NonUnitError, TruncatedSeries, _check_order
 
-LAMBDA_KINDS = ("kapranov", "binomial", "opposite", "poly-product")
-_SIGN = {"kapranov": 1, "binomial": -1, "opposite": -1, "poly-product": 1}
+# kind -> (sigma, whether it takes integer exponents only)
+_KINDS = {"kapranov": (1, True), "binomial": (-1, True),
+          "opposite": (-1, False), "poly-product": (1, False)}
+LAMBDA_KINDS = tuple(_KINDS)
 
 
 class UnsupportedLambdaError(ComputationError, ValueError):
@@ -68,13 +70,15 @@ class UnsupportedLambdaError(ComputationError, ValueError):
 
 
 class LambdaStructure(Immutable):
-    __slots__ = ("kind", "ring")
+    __slots__ = ("kind", "ring", "sign", "integers_only")
 
     def __init__(self, kind: str, ring: Ring):
-        if kind not in LAMBDA_KINDS:
+        if kind not in _KINDS:
             raise ValueError(f"unknown lambda kind {kind!r}; choose from {LAMBDA_KINDS}")
         object.__setattr__(self, "kind", kind)
         object.__setattr__(self, "ring", ring)
+        object.__setattr__(self, "sign", _KINDS[kind][0])
+        object.__setattr__(self, "integers_only", _KINDS[kind][1])
 
     def __repr__(self) -> str:
         return f"LambdaStructure({self.kind}, {self.ring.name})"
@@ -92,9 +96,9 @@ def _one_minus_xt_power(ring: Ring, exps, c: int, e: int, order: int) -> Truncat
 
 
 def _check_domain(lam: LambdaStructure, a) -> None:
-    """kapranov and binomial need a constant (integer) exponent."""
+    """A kind for integer exponents only (kapranov, binomial) needs a constant."""
     ring = lam.ring
-    if lam.kind in ("kapranov", "binomial") and not ring.is_constant(a):
+    if lam.integers_only and not ring.is_constant(a):
         raise UnsupportedLambdaError(
             f"{lam.kind} lambda is defined for integer exponents only; "
             f"got {ring.format_element(a)} (use poly-product)"
@@ -110,7 +114,7 @@ def lambda_series(lam: LambdaStructure, a, order: int) -> TruncatedSeries:
         _check_order(order)
         # every lambda-structure has lambda_a(t) = 1 + a*t + O(t^2)
         return TruncatedSeries._raw(ring, [ring.one, a][: order + 1])
-    sign = _SIGN[lam.kind]
+    sign = lam.sign
     result = None
     for exps, p in ring.terms(a):
         factor = _one_minus_xt_power(ring, exps, sign, -sign * p, order)
@@ -145,7 +149,7 @@ def _multiply_factor_into(lam: LambdaStructure, sums: List[Dict[int, int]], b, k
             {key: p for key, p in terms.items() if key not in stepped})
         ring.multiply_into(sums, _factor(lam, rest, k, order).coefficients,
                            k if stepped else low)
-    sign = _SIGN[lam.kind]
+    sign = lam.sign
     for key, p in stepped.items():
         # (1 - sigma*x*t^k)^(-sigma*p): |p| steps with c the sign of p, each
         # a division by 1 - c*x*t^k when sigma*p > 0, else a product by 1 + c*x*t^k
@@ -176,7 +180,7 @@ def log_map(A: TruncatedSeries, lam: LambdaStructure) -> List:
     _check_decomposable(A, lam)
     ring, order = A.ring, A.order
     if ring.is_integers:
-        return _int_log(A.coefficients, _SIGN[lam.kind])
+        return _int_log(A.coefficients, lam.sign)
     # copies, so that no b_k handed out shares a map with A
     residual = [dict(c) for c in ring.term_maps(A.coefficients)]
     bs: List = []
@@ -204,7 +208,7 @@ def exp_map(B: Sequence, lam: LambdaStructure, order: int) -> TruncatedSeries:
     ring = lam.ring
     if ring.is_integers:
         bs = [ring.coerce(b) for b in islice(B, order)]
-        return TruncatedSeries._raw(ring, _int_exp(bs, _SIGN[lam.kind], order))
+        return TruncatedSeries._raw(ring, _int_exp(bs, lam.sign, order))
     result = [dict(c) for c in ring.term_maps(TruncatedSeries.one(ring, order).coefficients)]
     for k, b in enumerate(B, start=1):
         if k > order:

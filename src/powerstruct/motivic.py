@@ -3,13 +3,14 @@
 Realizations live in three concrete rings: Z[u,v] for Hodge-Deligne
 polynomials, Z[L] for series built from the class of the affine line, and Z
 for Euler characteristics.  Specialization homomorphisms (L -> uv, all
-variables -> 1) connect them and commute with the power structures.
+variables -> 1) connect them, each mapping a coefficient's terms directly,
+and commute with the power structures.
 """
 
 from __future__ import annotations
 
 from .lambdas import LambdaStructure, exp_map, power
-from .rings import INTEGERS, Ring
+from .rings import INTEGERS, Ring, SparsePolynomial
 from .series import TruncatedSeries
 
 HODGE_RING = Ring(("u", "v"))
@@ -54,22 +55,22 @@ def specialize_series(A: TruncatedSeries, target: str) -> TruncatedSeries:
     """Coefficientwise image under a specialization homomorphism.
 
     "euler": every variable -> 1 (lands in Z; on Z[u,v] this is the
-    compactly-supported Euler characteristic).
-    "hodge_from_L": Z[L] -> Z[u,v] with L -> uv.
+    compactly-supported Euler characteristic): a coefficient goes to the sum
+    of its integer coefficients.
+    "hodge_from_L": Z[L] -> Z[u,v] with L -> uv: p*L^d goes to p*u^d*v^d.
     """
     ring = A.ring
     if target == "euler":
         if ring.is_integers:
             raise ValueError("euler specialization needs a polynomial ring")
-        bindings = {v: 1 for v in ring.variables}
-        out_ring = INTEGERS
-    elif target == "hodge_from_L":
+        return TruncatedSeries._raw(
+            INTEGERS, [sum(terms.values()) for terms in ring.term_maps(A.coefficients)]
+        )
+    if target == "hodge_from_L":
         if ring != MOTIVIC_RING:
             raise ValueError(f"hodge_from_L specializes Z[L], not {ring.name}")
-        bindings = {"L": HODGE_RING.monomial((1, 1))}
-        out_ring = HODGE_RING
-    else:
-        raise ValueError(f"unknown specialization {target!r}")
-    return TruncatedSeries._raw(
-        out_ring, [c.substitute(out_ring, bindings) for c in A.coefficients]
-    )
+        return TruncatedSeries._raw(HODGE_RING, [
+            SparsePolynomial(HODGE_RING.variables, {(d, d): p for (d,), p in c.terms.items()})
+            for c in A.coefficients
+        ])
+    raise ValueError(f"unknown specialization {target!r}")

@@ -2,9 +2,9 @@
 
 Two rings are supported: the integers Z (elements are plain Python ints,
 arbitrary precision) and polynomial rings Z[x1,...,xr] (elements are
-SparsePolynomial values).  Rings with different variable lists are distinct;
-the only bridge between them is `substitute`, which realizes a ring
-homomorphism by mapping every variable to an element of the target ring.
+SparsePolynomial values).  Rings with different variable lists are distinct:
+no operation mixes them, and the library's maps between them (the
+specializations of `motivic`) read and build coefficients directly.
 
 Every product over Z[x1,...,xr] (of two polynomials, of two series, or of
 a series and a lambda factor) runs one kernel, `_multiply_into`, which adds
@@ -50,7 +50,7 @@ class ArityError(ValueError):
 
 
 class UnboundVariableError(KeyError):
-    """A substitution did not bind every variable of the polynomial."""
+    """A name is not a variable of the ring."""
 
 
 class InexactDivisionError(ComputationError, ArithmeticError):
@@ -242,13 +242,10 @@ class SparsePolynomial(Immutable):
         variables = tuple(variables)
         normalized: Dict[int, int] = {}
         for exps, coeff in terms.items():
+            # distinct tuples pack to distinct keys, so no two terms collide
             key = _pack(variables, tuple(exps))
             if coeff:
-                acc = normalized.get(key, 0) + coeff
-                if acc:
-                    normalized[key] = acc
-                else:
-                    del normalized[key]
+                normalized[key] = coeff
         _set_variables(self, variables)
         _set_terms(self, normalized)
 
@@ -353,27 +350,6 @@ class SparsePolynomial(Immutable):
         items = [(_unpack(key, arity), coeff) for key, coeff in self._terms.items()]
         items.sort(key=lambda item: _grlex_key(item[0]))
         return iter(items)
-
-    # -- substitution homomorphism --------------------------------------
-
-    def substitute(self, target: "Ring", bindings: Mapping[str, object]):
-        """Image under the homomorphism sending each variable to its binding.
-
-        Every variable of this ring must be bound; binding images are elements
-        of `target`.  Returns a `target` element (int for Z).
-        """
-        for v in self.variables:
-            if v not in bindings:
-                raise UnboundVariableError(v)
-        images = [target.coerce(bindings[v]) for v in self.variables]
-        arity = len(self.variables)
-        acc = target.zero
-        for key, coeff in self._terms.items():
-            term = target.from_int(coeff)
-            for image, e in zip(images, _unpack(key, arity)):
-                term = term * image**e
-            acc = acc + term
-        return acc
 
     # -- formatting ------------------------------------------------------
 

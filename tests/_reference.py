@@ -11,7 +11,8 @@ factor lambda_b(t^k) to the full order N before rescaling and invert it for
 Log, the Log/Exp that take one series product per lambda factor, the
 Log/Exp over Z[x...] that multiply each whole lambda factor in place with
 no two-term step, the integer power over Z as Log, a scaling of each b_i and Exp, the
-punctual Hilbert series as a product of inverted binomials, the brute-force
+general substitution homomorphism that the specializations once ran (one
+ring power per variable and one ring sum per term), the punctual Hilbert series as a product of inverted binomials, the brute-force
 orbit count that visits every element of every orbit, the orderly orbit
 enumeration that visits one representative per orbit (the library now
 counts them by their closed form), the orderly orbit count that checks
@@ -53,6 +54,7 @@ from powerstruct.rings import (
     SparsePolynomial,
     UnboundVariableError,
     _check_degrees,
+    _unpack,
 )
 from powerstruct.series import NonUnitError, TruncatedSeries, _check_order
 
@@ -432,6 +434,27 @@ def log_exp_integer_power(A: TruncatedSeries, m, lam: LambdaStructure) -> Trunca
     m = lam.ring.coerce(m)
     bs = log_map(A, lam)
     return exp_map([m * b for b in bs], lam, A.order)
+
+
+def substitute(p: SparsePolynomial, target: Ring, bindings):
+    """Image of p under the homomorphism sending each variable to its binding.
+
+    Every variable of p's ring must be bound; binding images are elements
+    of `target`.  Returns a `target` element (int for Z).  This is the
+    general substitution the library's specializations once ran.
+    """
+    for v in p.variables:
+        if v not in bindings:
+            raise UnboundVariableError(v)
+    images = [target.coerce(bindings[v]) for v in p.variables]
+    arity = len(p.variables)
+    acc = target.zero
+    for key, coeff in p._terms.items():
+        term = target.from_int(coeff)
+        for image, e in zip(images, _unpack(key, arity)):
+            term = term * image**e
+        acc = acc + term
+    return acc
 
 
 def hand_rolled_hilb_local_surface(order: int) -> TruncatedSeries:

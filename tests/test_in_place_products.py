@@ -236,7 +236,7 @@ INSIDE, OUTSIDE = (1 << 29) - 1, 1 << 29
 @pytest.mark.parametrize("kind", ["poly-product", "opposite"])
 def test_exp_steps_just_inside_the_degree_bound_and_raises_as_the_reference_just_outside(kind, ring, routes):
     lam = LambdaStructure(kind, ring)
-    n, sigma = len(ring.variables), lambdas._SIGN[kind]
+    n, sigma = len(ring.variables), lam.sign
     # b_1 = sigma*x, lambda_{b_1}(t) = 1/(1 - x t) at order 4: steps reach
     # x^4, and 4*(2^29 - 1) < 2^31 = MAX_EXPONENT + 1
     inside = [ring.monomial((INSIDE,) + (1,) * (n - 1), sigma)]
@@ -263,7 +263,7 @@ def test_log_steps_only_where_the_residual_and_the_factor_fit_the_bound(kind, ro
     # bound counts them as 2^30 - 1 and 4*(2^28 - 1); for a = 2^28 as
     # 2^31 - 1 and 4*(2^29 - 1), which is past MAX_EXPONENT.
     for a, stepped in [((1 << 28) - 1, True), (1 << 28, False)]:
-        x = UV.monomial((a, 3), lambdas._SIGN[kind])
+        x = UV.monomial((a, 3), lam.sign)
         A = factor_exp([x], lam, 4)
         del routes[:]
         assert log_map(A, lam) == factor_log(A, lam) == [x, UV.zero, UV.zero, UV.zero]

@@ -206,6 +206,8 @@ LAMBDAS_REFUSALS = [
                  "the integer power formula needs constant term 1", id="non-unit"),
     pytest.param(lambda: integer_power_formula(S([1, 1]), 2.0), TypeError,
                  "the exponent of integer_power_formula must be an int", id="float-exponent"),
+    pytest.param(lambda: generalized_binomial(3, -1), ValueError, "s must be nonnegative",
+                 id="negative-binomial-index"),
 ]
 
 

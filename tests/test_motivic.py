@@ -3,7 +3,7 @@ import random
 import pytest
 
 from conftest import assert_refuses
-from _reference import hand_rolled_hilb_local_surface
+from _reference import hand_rolled_hilb_local_surface, substitute
 from powerstruct.lambdas import LambdaStructure, power
 from powerstruct.motivic import (
     HODGE_RING,
@@ -13,7 +13,7 @@ from powerstruct.motivic import (
     hodge_zeta,
     specialize_series,
 )
-from powerstruct.rings import INTEGERS, Ring, SparsePolynomial
+from powerstruct.rings import INTEGERS, MAX_EXPONENT, Ring, SparsePolynomial
 from powerstruct.series import TruncatedSeries
 
 
@@ -95,7 +95,7 @@ def test_hilb_surface_point():
     expected = TruncatedSeries(
         HODGE_RING,
         [
-            c.substitute(HODGE_RING, {"L": SparsePolynomial(("u", "v"), {(1, 1): 1})})
+            substitute(c, HODGE_RING, {"L": SparsePolynomial(("u", "v"), {(1, 1): 1})})
             for c in local.coefficients
         ],
     )
@@ -134,6 +134,43 @@ def test_specialize_unknown():
                    ValueError, "hodge_from_L specializes Z[L], not Z[u,v]")
 
 
+def _specialization_input(rng, ring):
+    """A coefficient with negative entries and exponents up to MAX_EXPONENT;
+    one in four is c*x - c*y, which every variable -> 1 sends to 0."""
+    def exps():
+        return tuple(rng.choice([0, 1, 2, 7, MAX_EXPONENT - 1, MAX_EXPONENT])
+                     for _ in ring.variables)
+    if rng.random() < 0.25:
+        x, y, c = exps(), exps(), rng.choice([-3, -1, 1, 2])
+        return SparsePolynomial(ring.variables, {x: c, y: -c} if x != y else {})
+    return SparsePolynomial(ring.variables,
+                            {exps(): rng.randint(-5, 5) for _ in range(rng.randint(0, 4))})
+
+
+@pytest.mark.parametrize("variables, target", [
+    (("u",), "euler"), (("u", "v"), "euler"), (("a", "b", "c"), "euler"), (("L",), "euler"),
+    (("L",), "hodge_from_L"),
+], ids=lambda x: ",".join(x) if isinstance(x, tuple) else x)
+def test_specialize_series_equals_the_general_substitution(variables, target):
+    ring = Ring(variables)
+    rng = random.Random(f"specialize {ring.name} {target}")
+    if target == "euler":
+        out_ring, bindings = INTEGERS, {v: 1 for v in variables}
+    else:
+        out_ring, bindings = HODGE_RING, {"L": _uv(1, 1)}
+    cancelled = 0
+    for order in range(25):
+        A = TruncatedSeries(ring, [_specialization_input(rng, ring) for _ in range(order + 1)])
+        before = [dict(c.terms) for c in A.coefficients]
+        image = specialize_series(A, target)
+        assert image.ring == out_ring and image.order == order
+        for c, d in zip(A.coefficients, image.coefficients):
+            assert d == substitute(c, out_ring, bindings)
+            cancelled += bool(c) and not d
+        assert [dict(c.terms) for c in A.coefficients] == before
+    assert cancelled or target == "hodge_from_L"
+
+
 def test_specialization_commutes_with_power():
     # L -> uv before or after taking a power gives the same series
     rng = random.Random(7)
@@ -156,6 +193,6 @@ def test_specialization_commutes_with_power():
         powered = power(series, m, lamL)
         after = specialize_series(powered, "hodge_from_L")
         mapped = specialize_series(series, "hodge_from_L")
-        m_mapped = m.substitute(HODGE_RING, {"L": uv})
+        m_mapped = substitute(m, HODGE_RING, {"L": uv})
         before = power(mapped, m_mapped, lamH)
         assert after == before

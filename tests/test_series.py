@@ -52,6 +52,10 @@ SERIES_REFUSALS = [
                  id="rescale-by-0"),
     pytest.param(lambda: S([1, 1]).eq_mod(S([1, 1]), -1), ValueError, "k must be nonnegative",
                  id="negative-eq-mod"),
+    pytest.param(lambda: S([1, 1]).eq_mod(S([1, 1]), 3), ValueError, "k=3 exceeds the stored order",
+                 id="eq-mod-past-the-order"),
+    pytest.param(lambda: S([1, 1]).eq_mod(S([1, 1], Ring(("u",))), 1), RingMismatchError,
+                 "series over Z and Z[u]", id="eq-mod-across-rings"),
 ]
 
 
