@@ -19,8 +19,10 @@ to the lambda-structure.  Log and Exp take one route per ring:
   of packed term maps in place, and Log peels A the same way, degree by
   degree, multiplying the residual by
   lambda_{-b_k}(t^k) = lambda_{b_k}(t^k)^{-1}, so it takes no series
-  inverse.  A term p*x of b_k is the factor (1 - sigma*x*t^k)^{-sigma*p}:
-  |p| two-term steps (Ring.step_into), each one pass over the terms from
+  inverse.  Both kernels below add into the maps of that list, so the
+  list is built from copies, and Log hands each b_k a copy of its residual
+  map.  A term p*x of b_k is the factor (1 - sigma*x*t^k)^{-sigma*p}: |p|
+  two-term steps (Ring.step_into), each one pass over the terms from
   degree k up, with no convolution.  The cost rule: a term takes steps when
   |p| = 1 or 2k*|p| <= N - k; the other terms of b_k form one factor,
   built as a series and multiplied by the kernel of every product
@@ -174,8 +176,8 @@ def log_map(A: TruncatedSeries, lam: LambdaStructure) -> List:
     the residual is 1 + b_k t^k + O(t^{k+1}).  The residual is a list of
     packed term maps, a copy of A's, that each factor multiplies in place
     from degree k + 1 up, or from degree k when it takes steps; degree k
-    cancels to 0.  Over Z it solves Newton's identities instead
-    (`_int_log`), one int convolution in all.
+    cancels to 0, so b_k gets a copy of its map.  Over Z it solves
+    Newton's identities instead (`_int_log`), one int convolution in all.
     """
     _check_decomposable(A, lam)
     ring, order = A.ring, A.order
@@ -185,13 +187,14 @@ def log_map(A: TruncatedSeries, lam: LambdaStructure) -> List:
     residual = [dict(c) for c in ring.term_maps(A.coefficients)]
     bs: List = []
     for k in range(1, order + 1):
-        b_k = ring.from_term_map(residual[k])
+        # a copy: a factor that takes steps writes into residual[k]
+        b_k = ring.from_term_map(dict(residual[k]))
         bs.append(b_k)
         if b_k:
             _check_domain(lam, b_k)  # before negating, so the error names b_k
             # lambda_{-b_k}(t^k) = 1 - b_k t^k + ... cancels degree k exactly
             _multiply_factor_into(lam, residual, -b_k, k, k + 1)
-            residual[k] = {}  # b_k keeps its own map
+            residual[k] = {}  # a factor multiplied from degree k + 1 leaves b_k there
     return bs
 
 

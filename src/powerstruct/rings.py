@@ -12,12 +12,15 @@ term pairs into packed-key maps and checks their degrees once, before zero
 coefficients are dropped.  The one exception is the two-term factor
 1 - c*x*t^k of a series and its inverse: `_step_into` multiplies or divides
 by it with one pass over the terms from degree k up, and checks no degree;
-its caller first bounds every degree it can reach (Ring.steps_fit).
+its caller first bounds every degree it can reach (Ring.steps_fit).  An
+overflow is named by the smallest packed key with a set guard bit, so a
+product names the same exponent whatever order its maps hold their keys in.
 
 All values are immutable after construction and every operation but two is
 a pure function, so everything here is safe for unrestricted concurrent
-reads; Ring.multiply_into and Ring.step_into change only the list of term
-maps that their caller passes in, never a map.
+reads.  Ring.multiply_into and Ring.step_into change the term maps that
+their caller passes in, in place, so the caller must own each of those maps:
+a copy, never the map of a polynomial, and no map twice in one list.
 """
 
 from __future__ import annotations
@@ -94,12 +97,17 @@ def _pack(variables: Tuple[str, ...], exps: ExponentVector) -> int:
 
 
 def _check_degrees(variables: Tuple[str, ...], terms: Dict[int, int]) -> None:
-    """Raise DegreeOverflowError if a sum of packed keys set a guard bit."""
-    if reduce(or_, terms, 0) & _guards(len(variables)):
-        for key in terms:
-            for v, e in zip(variables, _unpack(key, len(variables))):
-                if e > MAX_EXPONENT:
-                    raise DegreeOverflowError(v, e)
+    """Raise DegreeOverflowError if a sum of packed keys set a guard bit.
+
+    The error names the smallest packed key with a set guard bit, and in it
+    the first variable past MAX_EXPONENT, so the same set of keys names the
+    same exponent whatever order the map holds them in."""
+    guards = _guards(len(variables))
+    if reduce(or_, terms, 0) & guards:
+        key = min(key for key in terms if key & guards)
+        for v, e in zip(variables, _unpack(key, len(variables))):
+            if e > MAX_EXPONENT:
+                raise DegreeOverflowError(v, e)
 
 
 def _multiply_into(variables: Tuple[str, ...], sums: List[Dict[int, int]],
@@ -112,52 +120,49 @@ def _multiply_into(variables: Tuple[str, ...], sums: List[Dict[int, int]],
     skipped, so a factor lambda_b(t^k) costs only its degrees j*k.
 
     This is the one loop that adds term pairs into packed-key maps.  Degrees
-    are rebuilt from the top down, so every source d - j still holds its
-    value from before the product, and a rebuilt degree gets a new map: no
-    map in `sums` is ever changed.  Term pairs are added with the sources in
+    are updated from the top down, so every source d - j still holds its
+    value from before the product.  Term pairs are added with the sources in
     ascending degree, each source term against every factor term.  When
-    factor[0] is 1, a degree that no other source reaches keeps its map and
-    a rebuilt degree adds its own terms last; otherwise a degree that no
-    source reaches becomes empty.  The rebuilt maps are checked for a degree
-    overflow in ascending degree, before their zero coefficients are
-    dropped, so a product raises DegreeOverflowError even where its
-    overflowing monomials cancel, and the same product always names the
-    same exponent.
+    factor[0] is 1 (every lambda factor) the pairs are added straight into
+    sums[d], which therefore changes in place: the caller must own every map
+    in `sums`, and no two of them may be one map.  Otherwise a degree gets a
+    new map, and a degree that no source reaches becomes empty.  The updated
+    maps are checked for a degree overflow in ascending degree, before their
+    zero coefficients are deleted, so a product raises DegreeOverflowError
+    even where its overflowing monomials cancel, and names the exponent by
+    the rule of `_check_degrees`.
     """
     unit = factor[0]._terms == {0: 1}
     # descending j, so that the sources d - j come in ascending degree
     steps = [(j, list(f._terms.items()))
              for j, f in enumerate(factor) if f._terms and (j or not unit)]
     steps.reverse()
-    rebuilt = []
+    updated = []
     for d in range(len(sums) - 1, low - 1, -1):
-        acc = None
+        acc = sums[d] if unit else {}
+        get = acc.get
+        reached = False
         for j, terms_j in steps:
             if j > d:
                 continue
             source = sums[d - j]
             if not source:
                 continue
-            if acc is None:
-                acc = {}
-                get = acc.get
+            reached = True
             for e1, c1 in source.items():
                 for e2, c2 in terms_j:
                     key = e1 + e2
                     acc[key] = get(key, 0) + c1 * c2
-        if acc is not None:
-            if unit:
-                for key, c in sums[d].items():
-                    acc[key] = get(key, 0) + c
+        if reached:
+            updated.append(d)
+        if not unit:
             sums[d] = acc
-            rebuilt.append(d)
-        elif not unit:
-            sums[d] = {}
-    for d in reversed(rebuilt):
+    for d in reversed(updated):
         acc = sums[d]
         _check_degrees(variables, acc)
         if 0 in acc.values():
-            sums[d] = {e: c for e, c in acc.items() if c}
+            for key in [key for key, c in acc.items() if not c]:
+                del acc[key]
 
 
 def _step_into(sums: List[Dict[int, int]], key: int, c: int, k: int,
@@ -167,20 +172,30 @@ def _step_into(sums: List[Dict[int, int]], key: int, c: int, k: int,
     the packed key `key`.  In ascending degree every source c_{d-k} already
     holds its new value, which divides the series by 1 - c*x*t^k; in
     descending degree it still holds its old one, which multiplies it by
-    1 + c*x*t^k.  A rebuilt degree gets a new map with its zero coefficients
-    dropped, so no map in `sums` is ever changed.  No degree is checked: the
-    caller bounds them first (Ring.steps_fit).
+    1 + c*x*t^k.  Each term is added straight into sums[d], and a term that
+    cancels is deleted at once, so the caller must own every map in `sums`,
+    and no two of them may be one map.  No degree is checked: the caller
+    bounds them first (Ring.steps_fit).
     """
     n = len(sums)
     for d in range(k, n) if ascending else range(n - 1, k - 1, -1):
         source = sums[d - k]
         if source:
-            acc = dict(sums[d])
+            acc = sums[d]
             get = acc.get
             for e, v in source.items():
                 e += key
-                acc[e] = get(e, 0) + c * v
-            sums[d] = {e: v for e, v in acc.items() if v} if 0 in acc.values() else acc
+                v = get(e, 0) + c * v
+                if v:
+                    acc[e] = v
+                else:
+                    del acc[e]
+
+
+def _check_coefficient(coeff) -> None:
+    """A coefficient must be an int, and not a bool."""
+    if isinstance(coeff, bool) or not isinstance(coeff, int):
+        raise TypeError(f"coefficient {coeff!r} is a {type(coeff).__name__}, not an int")
 
 
 def exact_quotient(n: int, d: int) -> int:
@@ -242,6 +257,7 @@ class SparsePolynomial(Immutable):
         variables = tuple(variables)
         normalized: Dict[int, int] = {}
         for exps, coeff in terms.items():
+            _check_coefficient(coeff)
             # distinct tuples pack to distinct keys, so no two terms collide
             key = _pack(variables, tuple(exps))
             if coeff:
@@ -445,6 +461,7 @@ class Ring(Immutable):
         if self.is_integers:
             if exps:
                 raise ArityError("Z has no variables")
+            _check_coefficient(coeff)
             return int(coeff)
         return SparsePolynomial(self.variables, {tuple(exps): coeff})
 
@@ -467,8 +484,9 @@ class Ring(Immutable):
     # -- in-place products over Z[x...] -------------------------------------
 
     def term_maps(self, elements: Iterable["SparsePolynomial"]) -> List[Dict[int, int]]:
-        """Each polynomial's own packed term map, not a copy: read it or hand
-        the list to multiply_into, which replaces maps and never changes one."""
+        """Each polynomial's own packed term map, not a copy: read it only.
+        multiply_into and step_into change maps in place, so hand them
+        copies (dict(m) for m in ...)."""
         return [c._terms for c in elements]
 
     def from_term_map(self, terms: Dict[int, int]) -> "SparsePolynomial":
@@ -480,15 +498,18 @@ class Ring(Immutable):
                       factor: Sequence["SparsePolynomial"], low: int) -> None:
         """Multiply the series of packed term maps `sums` in place by the
         series factor[0] + factor[1]*t + ..., for the degrees `low`..N: the
-        kernel `_multiply_into` over this ring's variables."""
+        kernel `_multiply_into` over this ring's variables.  When factor[0]
+        is 1 it adds into the maps of `sums`, so the caller must own each
+        of them."""
         _multiply_into(self.variables, sums, factor, low)
 
     def step_into(self, sums: List[Dict[int, int]], key: int, c: int, k: int,
                   ascending: bool) -> None:
         """Divide the series of packed term maps `sums` in place by
         1 - c*x*t^k (ascending) or multiply it by 1 + c*x*t^k, for the
-        monomial x with the packed key `key`: the kernel `_step_into`.  The
-        caller must first bound the degrees with steps_fit."""
+        monomial x with the packed key `key`: the kernel `_step_into`.  It
+        adds into the maps of `sums`, so the caller must own each of them,
+        and must first bound the degrees with steps_fit."""
         _step_into(sums, key, c, k, ascending)
 
     def steps_fit(self, sums: Sequence[Dict[int, int]], terms: Dict[int, int],

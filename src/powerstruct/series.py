@@ -9,13 +9,14 @@ Z a product is an int double loop; over Z[x...] it is one Ring.multiply_into
 call, the kernel that every polynomial product runs: it adds every term pair
 into one packed-key map per output coefficient, without an intermediate
 polynomial, and checks each map's degrees once, before its zero coefficients
-are dropped.  Log and Exp over Z[x...] run the same kernel once per lambda
-factor, in place (see lambdas).
+are dropped.  The kernel adds into the maps it is given, so a product hands
+it copies of its left operand's maps.  Log and Exp over Z[x...] run the same
+kernel once per lambda factor, in place (see lambdas).
 """
 
 from __future__ import annotations
 
-from typing import List, Sequence, Tuple
+from typing import Iterable, List, Sequence, Tuple
 
 from .rings import ComputationError, Immutable, Ring, power_by_squaring
 
@@ -41,14 +42,15 @@ def _check_order(order: int) -> None:
 class TruncatedSeries(Immutable):
     __slots__ = ("ring", "coefficients")
 
-    def __init__(self, ring: Ring, coefficients: Sequence):
-        if not coefficients:
-            raise ValueError("a truncated series needs at least the t^0 coefficient")
-        _set_ring(self, ring)
+    def __init__(self, ring: Ring, coefficients: Iterable):
         # tuple() of a list allocates the tuple at its final size; from a
         # generator it grows one in place, which strands short tuples on
         # the interpreter's per-size free lists and raises peak memory
-        _set_coefficients(self, tuple([ring.coerce(c) for c in coefficients]))
+        coefficients = [ring.coerce(c) for c in coefficients]
+        if not coefficients:
+            raise ValueError("a truncated series needs at least the t^0 coefficient")
+        _set_ring(self, ring)
+        _set_coefficients(self, tuple(coefficients))
 
     @classmethod
     def _raw(cls, ring: Ring, coefficients: Sequence) -> "TruncatedSeries":
@@ -134,7 +136,8 @@ class TruncatedSeries(Immutable):
                         break
                     out[k] += ci * cj
             return TruncatedSeries._raw(ring, out)
-        sums = ring.term_maps(self.coefficients[: n + 1])
+        # copies: the kernel adds into these maps when other starts with 1
+        sums = [dict(c) for c in ring.term_maps(self.coefficients[: n + 1])]
         ring.multiply_into(sums, other.coefficients[: n + 1], 0)
         return TruncatedSeries._raw(ring, [ring.from_term_map(c) for c in sums])
 

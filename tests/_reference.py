@@ -3,6 +3,8 @@
 These are the tuple-keyed polynomial arithmetic, the dense convolution, the
 term-pair convolution of packed-key maps (`convolve`, one fresh map per output
 coefficient, sharing no loop with the library's in-place kernel), the
+product and step kernels that rebuild every map they reach instead of
+adding into it (`rebuild_multiply_into`, `rebuild_step_into`), the
 operator-generic sparse product (one ring product and one ring sum per pair
 of nonzero coefficients), the dense inverse, the generic lambda factor
 (1 - x*t)^e built by ring multiplication, the per-kind lambda series (one
@@ -144,6 +146,94 @@ def convolve_mul(a: TruncatedSeries, b: TruncatedSeries) -> TruncatedSeries:
     left = [(i, c) for i, c in enumerate(a.coefficients[: n + 1]) if c]
     right = [(j, c) for j, c in enumerate(b.coefficients[: n + 1]) if c]
     return TruncatedSeries._raw(a.ring, convolve(a.ring, left, right, n))
+
+
+# -- the rebuild kernels -----------------------------------------------------
+
+# Product and step kernels that give every degree they reach a new map, so
+# that no map in `sums` is ever changed: the references that the library's
+# in-place kernels, rings._multiply_into and rings._step_into, must equal.
+
+
+def rebuild_multiply_into(variables: Tuple[str, ...], sums: List[Dict[int, int]],
+                          factor: Sequence["SparsePolynomial"], low: int) -> None:
+    """Multiply the series whose coefficient d has the packed terms sums[d]
+    by the series factor[0] + factor[1]*t + factor[2]*t^2 + ..., in place,
+    for the degrees `low`..N only; the caller knows the product leaves the
+    degrees below unchanged (or, for a Log peel step, zero at `low` - 1).  A
+    polynomial product is the case N = 0.  Zero factor coefficients are
+    skipped, so a factor lambda_b(t^k) costs only its degrees j*k.
+
+    This is the one loop that adds term pairs into packed-key maps.  Degrees
+    are rebuilt from the top down, so every source d - j still holds its
+    value from before the product, and a rebuilt degree gets a new map: no
+    map in `sums` is ever changed.  Term pairs are added with the sources in
+    ascending degree, each source term against every factor term.  When
+    factor[0] is 1, a degree that no other source reaches keeps its map and
+    a rebuilt degree adds its own terms last; otherwise a degree that no
+    source reaches becomes empty.  The rebuilt maps are checked for a degree
+    overflow in ascending degree, before their zero coefficients are
+    dropped, so a product raises DegreeOverflowError even where its
+    overflowing monomials cancel, and the same product always names the
+    same exponent.
+    """
+    unit = factor[0]._terms == {0: 1}
+    # descending j, so that the sources d - j come in ascending degree
+    steps = [(j, list(f._terms.items()))
+             for j, f in enumerate(factor) if f._terms and (j or not unit)]
+    steps.reverse()
+    rebuilt = []
+    for d in range(len(sums) - 1, low - 1, -1):
+        acc = None
+        for j, terms_j in steps:
+            if j > d:
+                continue
+            source = sums[d - j]
+            if not source:
+                continue
+            if acc is None:
+                acc = {}
+                get = acc.get
+            for e1, c1 in source.items():
+                for e2, c2 in terms_j:
+                    key = e1 + e2
+                    acc[key] = get(key, 0) + c1 * c2
+        if acc is not None:
+            if unit:
+                for key, c in sums[d].items():
+                    acc[key] = get(key, 0) + c
+            sums[d] = acc
+            rebuilt.append(d)
+        elif not unit:
+            sums[d] = {}
+    for d in reversed(rebuilt):
+        acc = sums[d]
+        _check_degrees(variables, acc)
+        if 0 in acc.values():
+            sums[d] = {e: c for e, c in acc.items() if c}
+
+
+def rebuild_step_into(sums: List[Dict[int, int]], key: int, c: int, k: int,
+                      ascending: bool) -> None:
+    """c_d += c*x*c_{d-k} for the degrees d = k..N, in place, for the series
+    whose coefficient d has the packed terms sums[d] and the monomial x with
+    the packed key `key`.  In ascending degree every source c_{d-k} already
+    holds its new value, which divides the series by 1 - c*x*t^k; in
+    descending degree it still holds its old one, which multiplies it by
+    1 + c*x*t^k.  A rebuilt degree gets a new map with its zero coefficients
+    dropped, so no map in `sums` is ever changed.  No degree is checked: the
+    caller bounds them first (Ring.steps_fit).
+    """
+    n = len(sums)
+    for d in range(k, n) if ascending else range(n - 1, k - 1, -1):
+        source = sums[d - k]
+        if source:
+            acc = dict(sums[d])
+            get = acc.get
+            for e, v in source.items():
+                e += key
+                acc[e] = get(e, 0) + c * v
+            sums[d] = {e: v for e, v in acc.items() if v} if 0 in acc.values() else acc
 
 
 def dense_invert(a: TruncatedSeries) -> TruncatedSeries:

@@ -1,5 +1,6 @@
 import random
 from collections.abc import Mapping
+from fractions import Fraction
 
 import pytest
 
@@ -157,6 +158,24 @@ RINGS_REFUSALS = [
 @pytest.mark.parametrize("call, error, message", RINGS_REFUSALS)
 def test_rings_refusals_name_their_cause(call, error, message):
     assert_refuses(call, error, message)
+
+
+@pytest.mark.parametrize("coeff, message", [
+    (1.5, "coefficient 1.5 is a float, not an int"),
+    (True, "coefficient True is a bool, not an int"),
+    (Fraction(1, 2), "coefficient Fraction(1, 2) is a Fraction, not an int"),
+    ("3", "coefficient '3' is a str, not an int"),
+], ids=["float", "bool", "fraction", "str"])
+def test_a_coefficient_that_is_not_an_int_is_refused(coeff, message):
+    u = Ring(("u",))
+    for build in (lambda: SparsePolynomial(("u",), {(1,): 1, (0,): coeff}),
+                  lambda: SparsePolynomial.constant(("u", "v"), coeff),
+                  lambda: u.monomial((2,), coeff),
+                  lambda: INTEGERS.monomial((), coeff)):
+        assert_refuses(build, TypeError, message)
+    # an int coefficient, zero included, builds as before
+    assert str(SparsePolynomial(("u",), {(1,): 3, (0,): 0})) == "3*u"
+    assert INTEGERS.monomial((), -4) == -4 and u.monomial((2,), 0) == u.zero
 
 
 @pytest.mark.parametrize("ring", [Ring(("u",)), UV, Ring(("a", "b", "c"))], ids=lambda r: r.name)

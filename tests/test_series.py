@@ -19,6 +19,13 @@ def test_product_difference_of_squares():
     assert S([1, 1, 0, 0]) * S([1, -1, 0, 0]) == S([1, 0, -1, 0])
 
 
+def test_an_empty_iterable_is_refused_as_an_empty_list_is():
+    for empty in ([], (), iter([]), (c for c in [1] if c > 1)):
+        assert_refuses(lambda: TruncatedSeries(INTEGERS, empty), ValueError,
+                       "a truncated series needs at least the t^0 coefficient")
+    assert TruncatedSeries(UV, iter([1, UV.gen("u")])) == S([1, UV.gen("u")], UV)
+
+
 def test_additive_identity():
     rng = random.Random(2)
     a = random_series(rng, INTEGERS, 5)
