@@ -82,6 +82,28 @@ def _build_parser() -> _ArgumentParser:
     return parser
 
 
+# The options of each subcommand that take a series or polynomial text.
+# argparse reads a following "-..." that is not a plain negative number as
+# an option, so _join_minus_values joins such a value to its option with "=".
+_TEXT_OPTIONS = {"power": ("--series", "--exponent"), "exp": ("--coeffs",),
+                 "log": ("--series",), "zeta": ("--hodge",), "hilb": ("--hodge",)}
+
+
+def _join_minus_values(argv: Sequence[str]) -> list:
+    """argv with each text option whose value starts with a single "-" written
+    as --option=value.  A following "--..." or "-h" stays an option, so a
+    missing value and -h behave as they do in argparse."""
+    options = _TEXT_OPTIONS.get(argv[0], ()) if argv else ()
+    joined = []
+    for arg in argv:
+        if (joined and joined[-1] in options and arg.startswith("-")
+                and not arg.startswith("--") and arg != "-h"):
+            joined[-1] += "=" + arg
+        else:
+            joined.append(arg)
+    return joined
+
+
 def _emit(ring: Ring, coefficients: Sequence, first: int, fmt: str, out) -> None:
     """Print the coefficients of t^first, t^(first+1), ... as text or JSON."""
     if fmt == "json":
@@ -182,7 +204,7 @@ def main(argv: Optional[Sequence[str]] = None, out=None, err=None) -> int:
     err = err if err is not None else sys.stderr
     parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_join_minus_values(sys.argv[1:] if argv is None else argv))
         return _COMMANDS[args.command](args, out, err)
     except ComputationError as e:
         print(f"error: {e}", file=err)

@@ -237,7 +237,10 @@ def _orbit_counts(m_size: int, sizes: Sequence[int], orders: Sequence[int], budg
     budget.  Then refuses M with more than `budget` points, and checks every
     order, lowest first, against one particle_configuration_count to the top
     order (OrbitCheckError); with no order, that O(m_size) count never runs.
+    A negative budget is refused first, with a ValueError.
     """
+    if budget < 0:
+        raise ValueError(f"budget must be nonnegative, got {budget}")
     counts = []
     for k in orders:  # a comprehension here would turn the arguments into cells
         counts.append(sum(reps for _profile, reps in _profiles(m_size, sizes, k, budget)))

@@ -1,5 +1,6 @@
 """Generating-series applications: Hodge-level zeta and Hilbert-scheme series.
 
+Each series is one Exp of its coordinates, which are known in closed form.
 Realizations live in three concrete rings: Z[u,v] for Hodge-Deligne
 polynomials, Z[L] for series built from the class of the affine line, and Z
 for Euler characteristics.  Specialization homomorphisms (L -> uv, all
@@ -9,21 +10,20 @@ and commute with the power structures.
 
 from __future__ import annotations
 
-from .lambdas import LambdaStructure, exp_map, power
+from .lambdas import LambdaStructure, exp_map
 from .rings import INTEGERS, Ring, SparsePolynomial
-from .series import TruncatedSeries
+from .series import TruncatedSeries, _check_order
 
 HODGE_RING = Ring(("u", "v"))
 MOTIVIC_RING = Ring(("L",))
+_HODGE_LAMBDA = LambdaStructure("poly-product", HODGE_RING)
 
 
 def hodge_zeta(e, order: int) -> TruncatedSeries:
-    """(1-t)^{-e} over Z[u,v]: coefficient k is the e-polynomial of S^k X.
-
-    The exponent e is the Hodge-Deligne polynomial of X.
-    """
-    lam = LambdaStructure("poly-product", HODGE_RING)
-    return power(TruncatedSeries.geometric(HODGE_RING, order), HODGE_RING.coerce(e), lam)
+    """(1-t)^{-e} = Exp(e*t) over Z[u,v], for the Hodge-Deligne polynomial e
+    of X: coefficient k is the e-polynomial of S^k X."""
+    _check_order(order)  # before e is coerced
+    return exp_map([HODGE_RING.coerce(e)], _HODGE_LAMBDA, order)
 
 
 def hilb_local_surface(order: int) -> TruncatedSeries:
@@ -43,12 +43,12 @@ def hilb_local_surface(order: int) -> TruncatedSeries:
 def hilb_surface(e, order: int) -> TruncatedSeries:
     """Hilbert-scheme series of a surface with Hodge-Deligne polynomial e.
 
-    The local series with L -> uv, raised to the exponent e by the
-    polynomial-product power structure over Z[u,v].
-    """
-    local = specialize_series(hilb_local_surface(order), "hodge_from_L")
-    lam = LambdaStructure("poly-product", HODGE_RING)
-    return power(local, HODGE_RING.coerce(e), lam)
+    The local series with L -> uv, raised to the power e: Exp of
+    sum_k e*(uv)^{k-1} t^k for the poly-product lambda-structure over Z[u,v]."""
+    _check_order(order)  # before e is coerced
+    e = HODGE_RING.coerce(e)
+    return exp_map([e * HODGE_RING.monomial((k - 1, k - 1)) for k in range(1, order + 1)],
+                   _HODGE_LAMBDA, order)
 
 
 def specialize_series(A: TruncatedSeries, target: str) -> TruncatedSeries:

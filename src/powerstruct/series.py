@@ -198,12 +198,8 @@ class TruncatedSeries(Immutable):
         """True iff the coefficients of t^0..t^{k-1} agree."""
         if k < 0:
             raise ValueError("k must be nonnegative")
-        if k > min(self.order, other.order) + 1:
+        if k > self._common(other) + 1:
             raise ValueError(f"k={k} exceeds the stored order")
-        if self.ring != other.ring:
-            raise RingMismatchError(
-                f"series over {self.ring.name} and {other.ring.name}"
-            )
         return self.coefficients[:k] == other.coefficients[:k]
 
     def __eq__(self, other) -> bool:

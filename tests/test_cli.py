@@ -590,6 +590,72 @@ def test_negative_order_is_a_usage_error(argv, order):
 POWER_ARGV = ["power", "--ring", "Z", "--lambda", "kapranov", "--order", "1",
               "--series", "1", "--exponent", "1"]
 
+
+# each ends in a text option and a value that begins with a minus sign
+MINUS_VALUES = [
+    ["power", "--ring", "Z[u]", "--lambda", "poly-product", "--order", "2", "--series", "1 + t",
+     "--exponent", "-u"],
+    ["log", "--ring", "Z", "--lambda", "kapranov", "--order", "2", "--series", "-t+1"],
+    ["zeta", "--order", "1", "--hodge", "-u*v"],
+    ["hilb", "--order", "3", "--euler", "--hodge", "-1+u*v"],
+    ["exp", "--ring", "Z[u]", "--lambda", "poly-product", "--order", "2", "--coeffs", "-u,1"],
+    ["exp", "--ring", "Z", "--lambda", "kapranov", "--order", "2", "--coeffs", "-1,2"],
+]
+
+
+@pytest.mark.parametrize("argv", MINUS_VALUES, ids=lambda argv: f"{argv[0]}{argv[-2]}={argv[-1]}")
+def test_a_value_that_begins_with_a_minus_sign_prints_what_its_equals_form_prints(monkeypatch, argv):
+    joined = argv[:-2] + [f"{argv[-2]}={argv[-1]}"]
+    rc, out, err = run(joined)
+    assert (rc, err) == (0, "") and out
+    assert run(argv) == (rc, out, err)
+    # and when main reads sys.argv
+    monkeypatch.setattr(sys, "argv", ["powerstruct", *argv])
+    out_stream, err_stream = io.StringIO(), io.StringIO()
+    assert (main(None, out=out_stream, err=err_stream), out_stream.getvalue()) == (0, out)
+
+
+ZETA_ARGV = ["zeta", "--order", "1"]
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        # a missing value followed by the next option
+        (ZETA_ARGV + ["--hodge", "--format", "json"], "argument --hodge: expected one argument"),
+        (POWER_ARGV[:-1] + ["--format", "json"], "argument --exponent: expected one argument"),
+        (ZETA_ARGV + ["--hodge", "--euler"], "argument --hodge: expected one argument"),
+        # -h after a text option stays an option
+        (ZETA_ARGV + ["--hodge", "-h"], "argument --hodge: expected one argument"),
+        # an unknown option, and a text option of another subcommand
+        (ZETA_ARGV + ["--hodge", "1", "--bogus"], "unrecognized arguments: --bogus"),
+        (ZETA_ARGV + ["--series", "-t", "--hodge", "1"], "unrecognized arguments: --series -t"),
+        (ZETA_ARGV + ["--hodge", "1", "-x"], "unrecognized arguments: -x"),
+    ],
+)
+def test_options_around_minus_values_are_refused_as_argparse_refuses_them(argv, message):
+    assert run(argv) == (1, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("argv", [["-h"], ["zeta", "-h"], ZETA_ARGV + ["--hodge", "-u", "-h"],
+                                  POWER_ARGV[:-1] + ["-u", "--help"]])
+def test_help_is_still_printed_after_a_minus_value(capsys, argv):
+    with pytest.raises(SystemExit) as exited:
+        run(argv)
+    assert exited.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: powerstruct")
+
+
+ORACLE_ARGV = ["oracle", "--m-size", "3", "--target-size", "1", "--coeff-sizes", "2", "--order", "2"]
+
+
+def test_a_negative_budget_is_a_usage_error():
+    assert run(ORACLE_ARGV + ["--budget", "-5"]) == (1, "", "error: budget must be nonnegative, got -5\n")
+    assert run(ORACLE_ARGV + ["--budget", "0"]) == (
+        2, "", "error: profile {1: 1} needs 6 orbit representatives (budget 0)\n"
+    )
+
+
 EXIT_2_ERRORS = [
     (DegreeOverflowError("u", 2**31), "exponent 2147483648 of variable u exceeds the limit 2147483647"),
     (InexactDivisionError("7 / 2 leaves 1"), "7 / 2 leaves 1"),

@@ -30,6 +30,7 @@ from powerstruct.finite_model import (
     find_equivalence,
     finite_series,
     geometric_power_coefficient,
+    oracle_coefficients,
     particle_configuration_count,
     symmetric_power_map,
 )
@@ -205,6 +206,21 @@ def test_geometric_power_budget():
         BudgetExceededError,
         "the exponent map has 3 source points (budget 2)",
     )
+
+
+def test_a_negative_budget_is_refused_before_any_count():
+    for budget in (-1, -5):
+        message = f"budget must be nonnegative, got {budget}"
+        assert_refuses(lambda: oracle_coefficients(3, [2], 2, budget), ValueError, message)
+        assert_refuses(lambda: oracle_coefficients(0, [], 0, budget), ValueError, message)
+        assert_refuses(
+            lambda: geometric_power_coefficient(FiniteMap.constant(3), [FiniteMap.constant(2)], 2, budget),
+            ValueError, message,
+        )
+    # a budget of 0 refuses what it refused before
+    assert_refuses(lambda: oracle_coefficients(3, [2], 2, 0), BudgetExceededError,
+                   "profile {1: 1} needs 6 orbit representatives (budget 0)")
+    assert oracle_coefficients(0, [2], 2, 0) == [0, 0]
 
 
 def test_particle_configuration_count():

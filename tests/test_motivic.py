@@ -4,6 +4,7 @@ import pytest
 
 from conftest import assert_refuses
 from _reference import hand_rolled_hilb_local_surface, substitute
+from powerstruct import lambdas, motivic
 from powerstruct.lambdas import LambdaStructure, power
 from powerstruct.motivic import (
     HODGE_RING,
@@ -196,3 +197,91 @@ def test_specialization_commutes_with_power():
         m_mapped = substitute(m, HODGE_RING, {"L": uv})
         before = power(mapped, m_mapped, lamH)
         assert after == before
+
+
+# -- zeta and Hilbert series as one Exp ---------------------------------------
+
+LAM_UV = LambdaStructure("poly-product", HODGE_RING)
+
+
+def composed_zeta(e, order):
+    """(1 - t)^(-e) as the power of the geometric series: its Log, then an Exp."""
+    return power(TruncatedSeries.geometric(HODGE_RING, order), HODGE_RING.coerce(e), LAM_UV)
+
+
+def composed_hilb(e, order):
+    """The local series over Z[L], mapped by L -> uv, raised to e by its Log and an Exp."""
+    local = specialize_series(hilb_local_surface(order), "hodge_from_L")
+    return power(local, HODGE_RING.coerce(e), LAM_UV)
+
+
+def test_zeta_and_hilbert_series_are_one_exp_each(monkeypatch):
+    e = SparsePolynomial(HODGE_RING.variables, {(0, 0): 1, (1, 0): -2, (0, 1): -2, (1, 1): 3})
+    expected = {hodge_zeta: composed_zeta(e, 6), hilb_surface: composed_hilb(e, 6)}
+    calls = []
+
+    def counting_exp_map(B, lam, order):
+        calls.append(order)
+        return lambdas.exp_map(B, lam, order)
+
+    def refusing(*args, **kwargs):
+        pytest.fail("a zeta or Hilbert series took a Log, a power or a specialization")
+
+    monkeypatch.setattr(motivic, "exp_map", counting_exp_map)
+    for module, name in [(lambdas, "log_map"), (lambdas, "power"), (motivic, "log_map"),
+                         (motivic, "power"), (motivic, "hilb_local_surface"),
+                         (motivic, "specialize_series")]:
+        monkeypatch.setattr(module, name, refusing, raising=False)
+    for function, series in expected.items():
+        calls.clear()
+        assert function(e, 6) == series
+        assert calls == [6]
+
+
+def random_hodge_polynomial(rng):
+    """Up to 6 terms of degree at most 3 per variable, with coefficients of
+    either sign up to 2^40; a zero polynomial about one time in 20."""
+    return SparsePolynomial(HODGE_RING.variables, {
+        (rng.randint(0, 3), rng.randint(0, 3)): rng.choice([-1, 1]) * rng.choice([1, 2, 3, 7, 24, 2**40])
+        for _ in range(0 if rng.random() < 0.05 else rng.randint(1, 6))
+    })
+
+
+def test_zeta_and_hilbert_series_equal_the_composed_route_on_random_exponents():
+    rng = random.Random(29)
+    for order in range(21):
+        for _ in range(4):
+            e = random_hodge_polynomial(rng)
+            assert hodge_zeta(e, order) == composed_zeta(e, order), (e, order)
+            assert hilb_surface(e, order) == composed_hilb(e, order), (e, order)
+
+
+def outcome(function, e, order):
+    try:
+        return function(e, order)
+    except Exception as error:  # the class and message are compared
+        return type(error), str(error)
+
+
+@pytest.mark.parametrize(
+    "e, order",
+    [
+        # e*(uv)^(k-1) passes the limit in u at k = 4, and e^2 does in zeta
+        (_uv(MAX_EXPONENT - 2, 0), 5),
+        (SparsePolynomial(("u", "v"), {(0, MAX_EXPONENT - 1): 3, (1, 1): -1}), 4),
+        # the order is checked before e
+        ("1 + u", -1),
+        (SparsePolynomial(("a",), {(1,): 1}), -2),
+        # an e from another ring, at order 0 too
+        (SparsePolynomial(("a",), {(1,): 1}), 0),
+        (SparsePolynomial(("u",), {(1,): 2}), 3),
+        (MOTIVIC_RING.gen("L"), 2),
+    ],
+    ids=["u-overflow", "v-overflow", "str-negative-order", "other-ring-negative-order",
+         "other-ring-order-0", "Z[u]", "Z[L]"],
+)
+def test_zeta_and_hilbert_series_refuse_as_the_composed_route_does(e, order):
+    for function, composed in [(hodge_zeta, composed_zeta), (hilb_surface, composed_hilb)]:
+        refusal = outcome(composed, e, order)
+        assert isinstance(refusal, tuple), (function.__name__, refusal)
+        assert outcome(function, e, order) == refusal

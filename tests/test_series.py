@@ -63,6 +63,8 @@ SERIES_REFUSALS = [
                  id="eq-mod-past-the-order"),
     pytest.param(lambda: S([1, 1]).eq_mod(S([1, 1], Ring(("u",))), 1), RingMismatchError,
                  "series over Z and Z[u]", id="eq-mod-across-rings"),
+    pytest.param(lambda: S([1, 1]).eq_mod(5, 1), TypeError, "expected TruncatedSeries, got int",
+                 id="eq-mod-an-int"),
 ]
 
 
